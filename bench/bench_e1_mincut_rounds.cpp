@@ -20,10 +20,6 @@ using namespace ampccut::bench;
 int main(int argc, char** argv) {
   const Mode mode = mode_of(argc, argv);
   const std::uint32_t threads = threads_of(argc, argv);
-  // Round execution strategy, forwarded by tools/run_benches. Bit-identical
-  // results and model metrics across transports; only wall time may move.
-  const transport::TransportKind transport_kind = transport_of(argc, argv);
-  const std::uint32_t num_processes = procs_of(argc, argv);
   BenchReporter rep("e1_mincut_rounds");
   std::printf("E1 / Theorem 1 — AMPC min cut rounds vs n (family: random "
               "connected, m = 4n)\n\n");
@@ -39,8 +35,6 @@ int main(int argc, char** argv) {
     aopt.recursion.seed = 7;
     aopt.recursion.trials = 1;
     aopt.recursion.threads = threads;
-    aopt.transport = transport_kind;
-    aopt.num_processes = num_processes;
     ampc::AmpcMinCutReport ampc_r;
     const double ampc_ns =
         time_once_ns([&] { ampc_r = ampc::ampc_approx_min_cut(g, aopt); });
@@ -113,8 +107,6 @@ int main(int argc, char** argv) {
     off.recursion.seed = 7;
     off.recursion.trials = 1;
     off.recursion.threads = threads;
-    off.transport = transport_kind;
-    off.num_processes = num_processes;
     ampc::AmpcMinCutReport r_off;
     const double ns_off =
         time_once_ns([&] { r_off = ampc::ampc_approx_min_cut(g, off); });

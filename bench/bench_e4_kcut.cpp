@@ -17,10 +17,6 @@ using namespace ampccut::bench;
 int main(int argc, char** argv) {
   const Mode mode = mode_of(argc, argv);
   const std::uint32_t threads = threads_of(argc, argv);
-  // Round execution strategy, forwarded by tools/run_benches. Bit-identical
-  // results and model metrics across transports; only wall time may move.
-  const transport::TransportKind transport_kind = transport_of(argc, argv);
-  const std::uint32_t num_processes = procs_of(argc, argv);
   BenchReporter rep("e4_kcut");
   // Shared across every solve of the sweep: tracker runtimes and their table
   // pools persist between k values (results/metrics unaffected — DESIGN.md
@@ -40,10 +36,6 @@ int main(int argc, char** argv) {
       o.recursion.seed = s;
       o.recursion.trials = 2;
       o.recursion.threads = threads;
-    o.transport = transport_kind;
-    o.num_processes = num_processes;
-      o.transport = transport_kind;
-      o.num_processes = num_processes;
       o.arena = &arena;
       const auto got = ampc::ampc_apx_split_k_cut(g, k, o);
       const auto exact = brute_force_min_k_cut(g, k);
@@ -79,8 +71,6 @@ int main(int argc, char** argv) {
     o.recursion.seed = 5;
     o.recursion.trials = 1;
     o.recursion.threads = threads;
-    o.transport = transport_kind;
-    o.num_processes = num_processes;
     o.arena = &arena;
     ampc::AmpcKCutReport got;
     const double ns =
@@ -125,8 +115,6 @@ int main(int argc, char** argv) {
     o.recursion.seed = 5;
     o.recursion.trials = 1;
     o.recursion.threads = threads;
-    o.transport = transport_kind;
-    o.num_processes = num_processes;
     o.arena = &arena;
     ampc::AmpcKCutReport off;
     const double ns_off =

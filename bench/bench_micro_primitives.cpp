@@ -101,71 +101,6 @@ void bench_dense_put_commit(Harness& h, std::uint64_t n) {
   h.record(std::move(r), n);
 }
 
-// Transport-seam overhead (DESIGN.md "Transport layer & multi-process
-// execution"): the dense_put_commit round executed by the shm transport —
-// fork workers, encode staged writes as kPutBatch frames, drain the rings,
-// reconstruct staging, commit — against the local transport's direct path.
-// ns_per_op is the SHM round; extra carries the local baseline, the
-// fork+wire overhead ratio, and one round's wire traffic
-// (wire_bytes_sent/flush_batches). Model metrics come from a local run —
-// the transport invariant keeps them identical, so the trajectory's
-// non-timing fields stay transport-free.
-void bench_transport_put_commit(Harness& h, std::uint64_t n,
-                                std::uint32_t procs) {
-  constexpr std::uint64_t kMachines = 8;
-  const std::uint64_t per = n / kMachines;
-  const auto round_body = [per](ampc::Runtime& rt,
-                                ampc::DenseTable<std::uint64_t>& t,
-                                std::uint64_t salt) {
-    rt.round("bench.transport", kMachines, [&](ampc::MachineContext& ctx) {
-      const std::uint64_t base = ctx.machine_id() * per;
-      for (std::uint64_t i = 0; i < per; ++i) t.put(base + i, base + i + salt);
-    });
-  };
-  ampc::Runtime local_rt(ampc::Config::for_problem(n, 0.5));
-  ampc::DenseTable<std::uint64_t> local_t(local_rt, "bench.transport", n);
-  std::uint64_t salt = 0;
-  const Timed local = run_timed(n, h.topt, [&] {
-    round_body(local_rt, local_t, ++salt);
-  });
-
-  ampc::Config scfg = ampc::Config::for_problem(n, 0.5);
-  scfg.transport = transport::TransportKind::kShm;
-  scfg.num_processes = procs;
-  ampc::Runtime shm_rt(scfg);
-  ampc::DenseTable<std::uint64_t> shm_t(shm_rt, "bench.transport", n);
-  salt = 0;
-  const std::uint64_t wire_before = shm_rt.metrics().wire_bytes_sent;
-  const std::uint64_t batches_before = shm_rt.metrics().flush_batches;
-  std::uint64_t shm_rounds = 0;
-  const Timed shm = run_timed(n, h.topt, [&] {
-    round_body(shm_rt, shm_t, ++salt);
-    ++shm_rounds;
-  });
-
-  BenchResult r;
-  r.name = "transport_put_commit";
-  r.ns_per_op = shm.ns_per_op;
-  r.iterations = shm.iterations;
-  r.params["procs"] = static_cast<std::int64_t>(procs);
-  r.extra["local_ns_per_op"] = local.ns_per_op;
-  r.extra["shm_overhead_ratio"] =
-      shm.ns_per_op / std::max(1e-9, local.ns_per_op);
-  // Per-round wire traffic, exact: total bytes moved over the rings divided
-  // by rounds executed while timed.
-  r.extra["wire_bytes_sent"] = static_cast<double>(
-      (shm_rt.metrics().wire_bytes_sent - wire_before) /
-      std::max<std::uint64_t>(1, shm_rounds));
-  r.extra["flush_batches"] = static_cast<double>(
-      (shm_rt.metrics().flush_batches - batches_before) /
-      std::max<std::uint64_t>(1, shm_rounds));
-  ampc::Runtime mrt(ampc::Config::for_problem(n, 0.5));
-  ampc::DenseTable<std::uint64_t> mt(mrt, "bench.transport", n);
-  round_body(mrt, mt, 1);
-  fill_model_metrics(r, mrt.metrics());
-  h.record(std::move(r), n);
-}
-
 // Adaptive reads of committed keys (the frozen-read fast path). The lookup
 // cannot be elided — get() counts words into the machine context — and the
 // miss check consumes the value without a shared accumulator (machines run
@@ -519,14 +454,6 @@ int main(int argc, char** argv) {
                                    : std::vector<std::uint64_t>{1 << 14,
                                                                 1 << 16}) {
     bench_fault_recovery(h, n);
-  }
-  // Transport-seam overhead: the same machine-partitioned put/commit round
-  // under the forked shm transport (--procs selects the worker count).
-  for (const std::uint64_t n : mode == Mode::kSmoke
-                                   ? std::vector<std::uint64_t>{1 << 14}
-                                   : std::vector<std::uint64_t>{1 << 14,
-                                                                1 << 16}) {
-    bench_transport_put_commit(h, n, procs_of(argc, argv));
   }
   // Table-lifecycle fixed costs (the pool's target regime is small tables:
   // k-cut components, list-ranking levels).

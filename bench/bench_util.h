@@ -69,40 +69,6 @@ inline std::uint32_t threads_of(int argc, char** argv) {
   return static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
 }
 
-// "--transport local|shm" for benches that run the AMPC runtime: selects the
-// round execution strategy (Config::transport; DESIGN.md "Transport layer &
-// multi-process execution"). Absent = local. The transport never changes
-// results or model metrics, only wall time and wire traffic.
-inline transport::TransportKind transport_of(int argc, char** argv) {
-  const char* v = arg_value(argc, argv, "--transport");
-  if (v == nullptr) {
-    if (has_flag(argc, argv, "--transport")) {
-      std::fprintf(stderr,
-                   "bench_util: --transport given without a value; usage: "
-                   "--transport local|shm (falling back to local)\n");
-    }
-    return transport::TransportKind::kLocal;
-  }
-  const auto kind = transport::parse_transport_kind(v);
-  if (!kind.has_value()) {
-    std::fprintf(stderr,
-                 "bench_util: unknown transport '%s'; usage: --transport "
-                 "local|shm (falling back to local)\n",
-                 v);
-    return transport::TransportKind::kLocal;
-  }
-  return *kind;
-}
-
-// "--procs N" companion to --transport shm: worker-process count per round
-// (Config::num_processes). Absent = 2.
-inline std::uint32_t procs_of(int argc, char** argv) {
-  const char* v = arg_value(argc, argv, "--procs");
-  if (v == nullptr) return 2;
-  const auto n = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-  return n == 0 ? 1 : n;
-}
-
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> headers)

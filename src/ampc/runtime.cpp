@@ -18,16 +18,10 @@ constexpr std::uint64_t kParallelCommitThreshold = 4096;
 
 Runtime::Runtime(Config cfg, ThreadPool* pool)
     : cfg_(std::move(cfg)),
-      pool_(pool != nullptr ? *pool : ThreadPool::shared()),
-      transport_(transport::make_transport(cfg_.transport, cfg_.num_processes,
-                                           &pool_)) {
+      pool_(pool != nullptr ? *pool : ThreadPool::shared()) {
   if (cfg_.fault.enabled()) {
     injector_ = std::make_unique<FaultInjector>(cfg_.fault);
   }
-}
-
-void MachineContext::driver_return(std::vector<std::uint8_t> blob) {
-  runtime_.round_returns_[machine_] = std::move(blob);
 }
 
 namespace {
@@ -53,12 +47,9 @@ void Runtime::round(const char* label, std::size_t num_machines,
     // Size every table's machine staging buffers (the overflow buffer for
     // driver-side writes is a separate member of each table); tables
     // registered mid-round are sized by register_table from round_buffers_.
-    // The snapshot fixes the wire table indices for this round: index i on
-    // the wire is round_tables_[i] on both sides of a fork.
     std::lock_guard<std::mutex> lock(tables_mu_);
     round_buffers_ = num_machines;
     for (auto* t : tables_) t->begin_round(round_buffers_);
-    round_tables_.assign(tables_.begin(), tables_.end());
   }
   // Stable round coordinate for fault scheduling: retries of one logical
   // round share it (the attempt index separates their rng draws).
@@ -75,81 +66,38 @@ void Runtime::round(const char* label, std::size_t num_machines,
     std::atomic<std::uint64_t> writes{0};
     std::atomic<std::uint64_t> max_machine_traffic{0};
     std::atomic<std::uint64_t> violations{0};
-    round_returns_.clear();
-    round_returns_.resize(num_machines);
-
-    transport::RoundWork work;
-    work.label = label;
-    work.round_index = round_index;
-    work.num_machines = num_machines;
-    work.num_tables = round_tables_.size();
-    work.run_machine =
-        [&](std::size_t machine) -> transport::MachineTraffic {
-      MachineContext ctx(*this, machine);
-      MachineContext::ScopedActivation scope(ctx);
-      try {
-        if (injector_ != nullptr) machine_entry_faults(ctx);
-        body(ctx);
-      } catch (const MachineFailedError&) {
-        // Counted here (not at the throw site) so body-thrown failures
-        // count too. Both transports run every machine to the barrier even
-        // after a failure, so the tally is schedule-independent. Under shm
-        // this bump happens in a process about to die; the driver re-counts
-        // from the worker-error frame (on_machine_failure).
-        metrics_.machine_failures.fetch_add(1, std::memory_order_relaxed);
-        throw;
-      }
-      return {ctx.reads(), ctx.writes()};
-    };
-    work.record = [&](std::size_t machine,
-                      const transport::MachineTraffic& traffic) {
-      reads.fetch_add(traffic.reads, std::memory_order_relaxed);
-      writes.fetch_add(traffic.writes, std::memory_order_relaxed);
-      const std::uint64_t total = traffic.reads + traffic.writes;
-      std::uint64_t seen = max_machine_traffic.load(std::memory_order_relaxed);
-      while (seen < total && !max_machine_traffic.compare_exchange_weak(
-                                 seen, total, std::memory_order_relaxed)) {
-      }
-      if (cfg_.enforce_local_memory && total > cfg_.machine_memory_words) {
-        if (cfg_.strict_budget) {
-          throw BudgetExceededError(label, machine, total,
-                                    cfg_.machine_memory_words);
-        }
-        violations.fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-    work.on_machine_failure = [&]() {
-      metrics_.machine_failures.fetch_add(1, std::memory_order_relaxed);
-    };
-    work.encode_machine = [&](std::size_t t, std::size_t m,
-                              std::vector<std::uint8_t>* out) {
-      return round_tables_[t]->wire_encode_machine(
-          m, static_cast<std::uint32_t>(t), out);
-    };
-    work.stage_batch = [&](const transport::PutBatch& b) {
-      round_tables_[b.table]->wire_stage_machine(b);
-    };
-    work.take_blob = [&](std::size_t m) {
-      return std::move(round_returns_[m]);
-    };
-    work.put_blob = [&](std::size_t m, const std::uint8_t* data,
-                        std::size_t size) {
-      round_returns_[m].assign(data, data + size);
-    };
-    work.faults_injected_now = [&]() {
-      return metrics_.faults_injected.load(std::memory_order_relaxed);
-    };
-    work.add_faults_injected = [&](std::uint64_t delta) {
-      metrics_.faults_injected.fetch_add(delta, std::memory_order_relaxed);
-    };
-    work.add_wire = [&](std::uint64_t bytes, std::uint64_t batches) {
-      metrics_.wire_bytes_sent += bytes;
-      metrics_.flush_batches += batches;
-    };
-    work.enter_worker = [&]() { in_worker_ = true; };
-
     try {
-      transport_->run_round(work);
+      pool_.parallel_for(num_machines, [&](std::size_t machine) {
+        MachineContext ctx(machine);
+        MachineContext::ScopedActivation scope(ctx);
+        try {
+          if (injector_ != nullptr) machine_entry_faults(ctx);
+          body(ctx);
+        } catch (const MachineFailedError&) {
+          // Counted here (not at the throw site) so body-thrown failures
+          // count too. A one-thread pool stops the round at its first
+          // failure, so with several failures in one round the tally
+          // depends on the pool width.
+          metrics_.machine_failures.fetch_add(1, std::memory_order_relaxed);
+          throw;
+        }
+        // Fold this machine's traffic and enforce the local-memory budget.
+        reads.fetch_add(ctx.reads(), std::memory_order_relaxed);
+        writes.fetch_add(ctx.writes(), std::memory_order_relaxed);
+        const std::uint64_t total = ctx.reads() + ctx.writes();
+        std::uint64_t seen =
+            max_machine_traffic.load(std::memory_order_relaxed);
+        while (seen < total && !max_machine_traffic.compare_exchange_weak(
+                                   seen, total, std::memory_order_relaxed)) {
+        }
+        if (cfg_.enforce_local_memory && total > cfg_.machine_memory_words) {
+          if (cfg_.strict_budget) {
+            throw BudgetExceededError(label, machine, total,
+                                      cfg_.machine_memory_words);
+          }
+          violations.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
     } catch (const MachineFailedError& e) {
       // Transient failure: committed tables are untouched by construction
       // (frozen reads; writes only staged), so dropping the staging and
@@ -235,12 +183,6 @@ void Runtime::charge_rounds(const char* label, std::uint64_t rounds) {
 }
 
 void Runtime::register_table(detail::TableBase* table) {
-  // A table created inside a forked shm worker would exist only in that
-  // worker's copy-on-write memory — its staged writes could never reach the
-  // driver's commit. Fail loudly instead of silently diverging.
-  REPRO_CHECK_MSG(!in_worker_,
-                  "table registration inside a transport worker process: "
-                  "create tables on the driver, before the round");
   std::lock_guard<std::mutex> lock(tables_mu_);
   table->begin_round(round_buffers_);
   tables_.push_back(table);
@@ -273,17 +215,8 @@ void Runtime::reset_for_subproblem(const Config& cfg) {
                     "subproblem's leases/tables must be released first");
     round_buffers_ = 0;
   }
-  // Rebuild the transport only when its config changed: ShmTransport keeps
-  // its rings (and their mappings) across rounds and subproblems.
-  if (cfg.transport != cfg_.transport ||
-      (cfg.transport == transport::TransportKind::kShm &&
-       cfg.num_processes != cfg_.num_processes)) {
-    transport_ =
-        transport::make_transport(cfg.transport, cfg.num_processes, &pool_);
-  }
   cfg_ = cfg;
   metrics_.reset();
-  round_returns_.clear();
   // Rebuild the injector from the new plan; the next subproblem's fault
   // schedule restarts at round 0 exactly as a fresh Runtime's would.
   injector_.reset();

@@ -60,9 +60,12 @@
 #include "support/errors.h"
 #include "support/psort.h"
 #include "support/threadpool.h"
-#include "transport/transport.h"
 
 namespace ampccut::ampc {
+
+// Round execution backend: machines always run as thread-pool tasks in this
+// process. The type exists only for the inert Config::transport field.
+enum class TransportKind : std::uint8_t { kLocal };
 
 struct Config {
   double eps = 0.5;                 // machine memory exponent
@@ -74,14 +77,10 @@ struct Config {
   // violation counter. Deterministic, so the barrier never retries it — the
   // algorithm layer catches it and degrades (mincut_ampc.h).
   bool strict_budget = false;
-  // Round execution strategy (src/transport/): kLocal runs machines as
-  // thread-pool tasks in this process; kShm forks num_processes worker
-  // processes per round and ships staged writes back over shared-memory
-  // rings. Results, stats and all pre-existing non-traffic metrics are
-  // bit-identical across the two — see DESIGN.md "Transport layer &
-  // multi-process execution" for the argument.
-  transport::TransportKind transport = transport::TransportKind::kLocal;
-  std::uint32_t num_processes = 2;  // shm worker processes (>= 1)
+  // Unread: kept only because cutbench/src/solve_rings.cpp still assigns it.
+  TransportKind transport = TransportKind::kLocal;
+  // Unread: kept only because cutbench/src/solve_rings.cpp still assigns it.
+  std::uint32_t num_processes = 2;
   // Deterministic fault injection + bounded round-level recovery (fault.h).
   // Default plan is empty: all hooks compile down to one null check.
   FaultPlan fault;
@@ -119,11 +118,6 @@ struct Metrics {
   std::uint64_t rounds_retried = 0;
   std::atomic<std::uint64_t> faults_injected{0};
   std::atomic<std::uint64_t> machine_failures{0};
-  // Transport wire accounting (driver-only writes, once per round). Nonzero
-  // only under ShmTransport — LocalTransport moves no bytes — so these sit
-  // below the bit-identity line with the robustness counters.
-  std::uint64_t wire_bytes_sent = 0;  // frame bytes drained from worker rings
-  std::uint64_t flush_batches = 0;    // kPutBatch frames (combiner flushes)
   // Transparent comparators: the per-round bump looks labels up by const
   // char* without materializing a std::string (rounds are fine-grained
   // enough that the temporary showed up in profiles).
@@ -147,8 +141,6 @@ struct Metrics {
     rounds_retried = 0;
     faults_injected.store(0, std::memory_order_relaxed);
     machine_failures.store(0, std::memory_order_relaxed);
-    wire_bytes_sent = 0;
-    flush_batches = 0;
     rounds_by_label.clear();
     charged_by_label.clear();
   }
@@ -239,27 +231,6 @@ class TableBase {
   // staged outside the failed round and must still commit with the retry.
   virtual void discard_machine_staged() = 0;
 
-  // --- Cross-process staging (src/transport/) -----------------------------
-  //
-  // wire_encode_machine serializes machine `m`'s staged entries as complete
-  // kPutBatch frames appended to `out` (worker side; the staging buffer is
-  // left untouched — the worker process exits right after). Entries under a
-  // commutative merge policy (kSum/kMin/kMax) are combiner-aggregated
-  // first: sorted by key and merged, which cannot change the committed
-  // value because the policy is associative and commutative. kOverwrite
-  // ships verbatim in program order — last-write-wins depends on it.
-  // Returns the number of frames appended.
-  //
-  // wire_stage_machine reconstructs machine staging from a decoded batch
-  // (driver side, single-threaded drain): entries land in the same
-  // per-machine buffer, in frame-arrival order — which is that machine's
-  // program order, the only order commit semantics depend on. Throws
-  // TransportError if the batch's key/value sizes do not match this table.
-  virtual std::uint64_t wire_encode_machine(
-      std::size_t machine, std::uint32_t table_index,
-      std::vector<std::uint8_t>* out) = 0;
-  virtual void wire_stage_machine(const transport::PutBatch& batch) = 0;
-
   // Serial commit of an already-sealed table: same phase order as the
   // parallel path, hence bit-identical results.
   void commit_sealed() {
@@ -310,78 +281,11 @@ void apply_merge(V& dst, const V& src, Merge policy) {
   }
 }
 
-namespace detail {
-
-// --- Wire staging helpers (src/transport/) ---------------------------------
-
-// Per-frame ceiling for encoded put batches: well under kMaxFramePayload so
-// ring occupancy (and with it driver drain latency) stays bounded even when
-// a machine staged far more than one ring can hold.
-inline constexpr std::size_t kPutChunkBytes = 256u * 1024;
-
-// Combiner: fold same-key entries under a commutative merge policy before
-// they cross the wire. Sorting by the full (key, value) pair groups equal
-// keys with a deterministic total order; within a key group the fold may
-// therefore run out of program order, which cannot change the folded value
-// — kSum/kMin/kMax are commutative and associative over the integral value
-// types the tables hold, and kOverwrite batches are never combined (their
-// program order is load-bearing and they ship verbatim).
-template <class K, class V>
-void combine_staged_pairs(std::vector<std::pair<K, V>>* pairs, Merge policy) {
-  psort::stable_sort_keys(nullptr, pairs->data(), pairs->size(),
-                          std::less<std::pair<K, V>>{});
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < pairs->size(); ++r) {
-    if (w != 0 && (*pairs)[w - 1].first == (*pairs)[r].first) {
-      apply_merge((*pairs)[w - 1].second, (*pairs)[r].second, policy);
-    } else {
-      (*pairs)[w++] = (*pairs)[r];
-    }
-  }
-  pairs->resize(w);
-}
-
-// Serializes key/value pairs as chunked kPutBatch frames appended to `out`.
-// Returns the number of frames.
-template <class K, class V>
-std::uint64_t encode_put_frames(std::uint32_t table_index,
-                                std::uint64_t machine,
-                                const std::vector<std::pair<K, V>>& pairs,
-                                std::vector<std::uint8_t>* out) {
-  static_assert(sizeof(K) <= 255 && sizeof(V) <= 255,
-                "wire batch entry sizes are u8 fields");
-  constexpr std::size_t kEntry = sizeof(K) + sizeof(V);
-  constexpr std::size_t kPerFrame =
-      (kPutChunkBytes - transport::kPutBatchPrefixBytes) / kEntry;
-  static_assert(kPerFrame >= 1);
-  std::uint64_t frames = 0;
-  std::vector<std::uint8_t> payload;
-  for (std::size_t at = 0; at < pairs.size(); at += kPerFrame) {
-    const std::size_t n = std::min(kPerFrame, pairs.size() - at);
-    payload.clear();
-    transport::append_put_batch_prefix(
-        &payload, table_index, machine, static_cast<std::uint32_t>(n),
-        static_cast<std::uint8_t>(sizeof(K)),
-        static_cast<std::uint8_t>(sizeof(V)));
-    for (std::size_t i = at; i < at + n; ++i) {
-      transport::append_bytes(&payload, &pairs[i].first, sizeof(K));
-      transport::append_bytes(&payload, &pairs[i].second, sizeof(V));
-    }
-    transport::append_frame(out, transport::FrameKind::kPutBatch,
-                            payload.data(), payload.size());
-    ++frames;
-  }
-  return frames;
-}
-
-}  // namespace detail
-
 // Per-virtual-machine context; installed thread-locally while the machine's
 // task runs so table reads can be accounted to the right machine.
 class MachineContext {
  public:
-  MachineContext(Runtime& rt, std::size_t machine_id)
-      : runtime_(rt), machine_(machine_id) {}
+  explicit MachineContext(std::size_t machine_id) : machine_(machine_id) {}
 
   [[nodiscard]] std::size_t machine_id() const { return machine_; }
   [[nodiscard]] std::uint64_t reads() const { return reads_; }
@@ -389,16 +293,6 @@ class MachineContext {
 
   void count_read(std::uint64_t words = 1) { reads_ += words; }
   void count_write(std::uint64_t words = 1) { writes_ += words; }
-
-  // Driver-return channel: hand an opaque blob to the driver, readable via
-  // Runtime::take_round_returns() after the round. This is the only way a
-  // machine may move data to the driver besides table writes — capturing
-  // driver-side storage in the round body breaks under the shm transport,
-  // where the body runs in a forked worker whose memory dies with it
-  // (blobs travel back as kDriverBlob wire frames). One call per machine
-  // per round; the blob costs no DHT traffic (count separately if the
-  // model should charge for it).
-  void driver_return(std::vector<std::uint8_t> blob);
 
   static MachineContext* current() { return current_; }
 
@@ -409,7 +303,6 @@ class MachineContext {
 
  private:
   friend struct ScopedActivation;
-  Runtime& runtime_;
   std::size_t machine_;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
@@ -446,18 +339,6 @@ class Runtime {
 
   // Account the published round cost of a cited primitive (see DESIGN.md).
   void charge_rounds(const char* label, std::uint64_t rounds);
-
-  // Collects the blobs machines handed to MachineContext::driver_return
-  // during the last round, indexed by machine id (empty vector = no call).
-  // Driver-side, between rounds; moves the storage out.
-  std::vector<std::vector<std::uint8_t>> take_round_returns() {
-    return std::move(round_returns_);
-  }
-
-  // The transport executing this runtime's rounds (Config::transport).
-  [[nodiscard]] transport::TransportKind transport_kind() const {
-    return transport_->kind();
-  }
 
   void register_table(detail::TableBase* table);
   void unregister_table(detail::TableBase* table);
@@ -512,7 +393,6 @@ class Runtime {
  private:
   template <class T>
   friend class TableLease;
-  friend class MachineContext;  // driver_return writes round_returns_
 
   void commit_all();
 
@@ -542,21 +422,6 @@ class Runtime {
   Config cfg_;
   Metrics metrics_;
   ThreadPool& pool_;
-  // Round execution strategy (rebuilt by reset_for_subproblem only when the
-  // transport config changes — ShmTransport keeps its rings across rounds).
-  std::unique_ptr<transport::Transport> transport_;
-  // Snapshot of tables_ taken at round start: the wire table index a worker
-  // encodes with must resolve to the same table on the driver even if a
-  // machine body registers tables mid-round (which the shm transport
-  // rejects via the in_worker_ guard — see register_table).
-  std::vector<detail::TableBase*> round_tables_;
-  // Per-machine driver_return blobs of the round in flight (each machine
-  // writes only its own slot; the driver reads between rounds).
-  std::vector<std::vector<std::uint8_t>> round_returns_;
-  // Set inside a forked shm worker: operations that cannot cross the
-  // process boundary (table registration) fail loudly instead of silently
-  // diverging from the driver's view.
-  bool in_worker_ = false;
   // Installed when cfg_.fault.enabled(); decisions read fault_round_ /
   // fault_attempt_, which only the driver writes (between pool barriers, so
   // the batch hand-off publishes them to the workers).
@@ -813,70 +678,6 @@ class Table final : public detail::TableBase {
     if (overflow_dirty) dirty_.mark(detail::DirtyBuffers::kOverflow);
   }
 
-  std::uint64_t wire_encode_machine(std::size_t machine,
-                                    std::uint32_t table_index,
-                                    std::vector<std::uint8_t>* out) override {
-    if constexpr (std::is_trivially_copyable_v<K> &&
-                  std::is_trivially_copyable_v<V>) {
-      if (machine >= buffers_.size()) return 0;
-      const Buffer& buf = buffers_[machine];
-      if (buf.entries.empty()) return 0;
-      std::vector<std::pair<K, V>> pairs;
-      pairs.reserve(buf.entries.size());
-      for (const Staged& e : buf.entries) pairs.emplace_back(e.key, e.value);
-      if constexpr (requires(K a, K b, V x, V y) {
-                      a < b;
-                      a == b;
-                      x < y;
-                    }) {
-        if (policy_ != Merge::kOverwrite) {
-          detail::combine_staged_pairs(&pairs, policy_);
-        }
-      }
-      return detail::encode_put_frames(table_index, machine, pairs, out);
-    } else {
-      REPRO_CHECK_MSG(false,
-                      "table " + name_ +
-                          ": key/value type is not trivially copyable and "
-                          "cannot cross the transport wire");
-      return 0;
-    }
-  }
-
-  void wire_stage_machine(const transport::PutBatch& batch) override {
-    if constexpr (std::is_trivially_copyable_v<K> &&
-                  std::is_trivially_copyable_v<V>) {
-      if (batch.key_size != sizeof(K) || batch.value_size != sizeof(V)) {
-        throw TransportError("wire: put batch entry sizes (" +
-                             std::to_string(batch.key_size) + "+" +
-                             std::to_string(batch.value_size) +
-                             ") do not match table " + name_);
-      }
-      REPRO_CHECK(batch.machine < buffers_.size());
-      Buffer& buf = buffers_[batch.machine];
-      if (batch.count != 0 && buf.entries.empty()) {
-        dirty_.mark(static_cast<std::uint32_t>(batch.machine));
-      }
-      const std::uint8_t* p = batch.entries;
-      for (std::uint32_t i = 0; i < batch.count; ++i) {
-        K key;
-        V value;
-        std::memcpy(&key, p, sizeof(K));
-        p += sizeof(K);
-        std::memcpy(&value, p, sizeof(V));
-        p += sizeof(V);
-        // Shard recomputed here rather than shipped: shard_of is the same
-        // pure function on both sides, and it keeps entries at 100% payload.
-        const auto shard = static_cast<std::uint32_t>(shard_of(key));
-        buf.entries.push_back({shard, std::move(key), std::move(value)});
-      }
-    } else {
-      REPRO_CHECK_MSG(false, "table " + name_ +
-                                 ": key/value type cannot be staged from "
-                                 "the transport wire");
-    }
-  }
-
  private:
   struct Staged {
     std::uint32_t shard;
@@ -1087,56 +888,6 @@ class DenseTable final : public detail::TableBase {
     }
     dirty_.clear();
     if (overflow_dirty) dirty_.mark(detail::DirtyBuffers::kOverflow);
-  }
-
-  std::uint64_t wire_encode_machine(std::size_t machine,
-                                    std::uint32_t table_index,
-                                    std::vector<std::uint8_t>* out) override {
-    static_assert(std::is_trivially_copyable_v<V>,
-                  "DenseTable values must be trivially copyable to cross "
-                  "the transport wire");
-    if (machine >= buffers_.size()) return 0;
-    const Buffer& buf = buffers_[machine];
-    if (buf.entries.empty()) return 0;
-    std::vector<std::pair<std::uint64_t, V>> pairs;
-    pairs.reserve(buf.entries.size());
-    for (const Staged& e : buf.entries) pairs.emplace_back(e.index, e.value);
-    if constexpr (requires(V x, V y) { x < y; }) {
-      if (policy_ != Merge::kOverwrite) {
-        detail::combine_staged_pairs(&pairs, policy_);
-      }
-    }
-    return detail::encode_put_frames(table_index, machine, pairs, out);
-  }
-
-  void wire_stage_machine(const transport::PutBatch& batch) override {
-    if (batch.key_size != sizeof(std::uint64_t) ||
-        batch.value_size != sizeof(V)) {
-      throw TransportError("wire: put batch entry sizes (" +
-                           std::to_string(batch.key_size) + "+" +
-                           std::to_string(batch.value_size) +
-                           ") do not match dense table " + name_);
-    }
-    REPRO_CHECK(batch.machine < buffers_.size());
-    Buffer& buf = buffers_[batch.machine];
-    if (batch.count != 0 && buf.entries.empty()) {
-      dirty_.mark(static_cast<std::uint32_t>(batch.machine));
-    }
-    const std::uint8_t* p = batch.entries;
-    for (std::uint32_t i = 0; i < batch.count; ++i) {
-      std::uint64_t index;
-      V value;
-      std::memcpy(&index, p, sizeof(index));
-      p += sizeof(index);
-      std::memcpy(&value, p, sizeof(V));
-      p += sizeof(V);
-      if (index >= data_.size()) {
-        throw TransportError("wire: staged index " + std::to_string(index) +
-                             " out of range for dense table " + name_);
-      }
-      const auto shard = static_cast<std::uint32_t>(index / shard_size_);
-      buf.entries.push_back({shard, index, std::move(value)});
-    }
   }
 
  private:

@@ -49,8 +49,6 @@ AmpcMinCutReport ampc_approx_min_cut(const WGraph& g,
     for (;;) {
       Config cfg = Config::for_problem(inst.n + inst.m(), eps);
       cfg.strict_budget = strict;
-      cfg.transport = opt.transport;
-      cfg.num_processes = opt.num_processes;
       cfg.fault = opt.fault;
       cfg.retry = opt.retry;
       RuntimeArena::Lease rt = arena->acquire(cfg);

@@ -44,12 +44,9 @@ struct AmpcMinCutOptions {
   // state.
   FaultPlan fault;
   RetryPolicy retry;
-  // Round execution strategy (src/transport/), forwarded into every tracker
-  // runtime's Config: kLocal runs machines as thread-pool tasks, kShm forks
-  // num_processes worker processes per round and ships staged writes over
-  // shared-memory rings. Results, stats and all pre-existing non-traffic
-  // metrics are bit-identical across transports and process counts.
-  transport::TransportKind transport = transport::TransportKind::kLocal;
+  // Unread: kept only because cutbench/src/solve_rings.cpp still reads it.
+  TransportKind transport = TransportKind::kLocal;
+  // Unread: kept only because cutbench/src/solve_rings.cpp still reads it.
   std::uint32_t num_processes = 2;
   // Escalate budget violations to BudgetExceededError inside the tracker;
   // the tracker hook then degrades gracefully: rerun the instance with

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "ampc_algo/list_ranking.h"
@@ -335,15 +334,12 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
   const std::uint64_t items = static_cast<std::uint64_t>(g.m()) * h;
   const std::uint64_t per =
       std::max<std::uint64_t>(1, rt.config().machine_memory_words);
-  // Each machine ships its interval chunk through the driver-return channel
-  // (one blob per machine per attempt, so a replayed round overwrites its
-  // own attempt's output and recovery stays exact). A captured host-side
-  // slot would break under the shm transport — the body runs in a forked
-  // worker whose memory dies with it. Concatenating the blobs in machine-id
-  // order below fixes the interval order independent of thread schedule.
-  const std::uint64_t interval_machines = ceil_div(items, per);
-  rt.round("singleton.intervals", interval_machines,
-           [&](MachineContext& ctx) {
+  // Each machine assigns its interval chunk to its own slot (once per
+  // attempt, so a replayed round overwrites its own output and recovery
+  // stays exact). Concatenating the slots in machine-id order below fixes
+  // the interval order independent of thread schedule.
+  std::vector<std::vector<Interval>> slots(ceil_div(items, per));
+  rt.round("singleton.intervals", slots.size(), [&](MachineContext& ctx) {
     const std::uint64_t lo_item = ctx.machine_id() * per;
     const std::uint64_t hi_item = std::min(items, lo_item + per);
     std::vector<Interval> local;
@@ -390,20 +386,18 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
         }
       }
     }
-    std::vector<std::uint8_t> blob(local.size() * sizeof(Interval));
-    if (!blob.empty()) {
-      std::memcpy(blob.data(), local.data(), blob.size());
-    }
-    ctx.driver_return(std::move(blob));
+    // Exact-size slots: all of them live until the concatenation below, and
+    // their push_back slack showed up in the solve's peak RSS.
+    local.shrink_to_fit();
+    slots[ctx.machine_id()] = std::move(local);
   });
+  std::size_t num_intervals = 0;
+  for (const std::vector<Interval>& slot : slots) num_intervals += slot.size();
   std::vector<Interval> intervals;
-  for (const std::vector<std::uint8_t>& blob : rt.take_round_returns()) {
-    REPRO_CHECK(blob.size() % sizeof(Interval) == 0);
-    const std::size_t at = intervals.size();
-    intervals.resize(at + blob.size() / sizeof(Interval));
-    if (!blob.empty()) {
-      std::memcpy(intervals.data() + at, blob.data(), blob.size());
-    }
+  intervals.reserve(num_intervals);
+  for (std::vector<Interval>& slot : slots) {
+    intervals.insert(intervals.end(), slot.begin(), slot.end());
+    slot = {};  // release as consumed: the slots must not outlive this step
   }
 
   // 7. Group by leader and compress same-timestamp deltas (the S'' sequence

@@ -111,7 +111,7 @@ class Reducer {
       std::size_t j = i + 1;
       while (j < edges.size() && edges[j].u == merged.u &&
              edges[j].v == merged.v) {
-        merged.w += edges[j].w;
+        merged.w = sat_add(merged.w, edges[j].w);
         ++j;
       }
       edges[out++] = merged;

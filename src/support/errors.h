@@ -123,16 +123,4 @@ class GraphIoError : public Error {
   using Error::Error;
 };
 
-// Transport-layer failure (src/transport/): a malformed or truncated wire
-// frame, a shared-memory ring that cannot be created or attached, or a
-// worker process that exited outside the protocol. Machine-level failures a
-// worker reports through the wire (injected crashes, body throws) are NOT
-// TransportError — they surface as MachineFailedError so the round barrier's
-// discard-and-replay recovery treats a dead worker process exactly like a
-// dead in-process machine.
-class TransportError : public Error {
- public:
-  using Error::Error;
-};
-
 }  // namespace ampccut

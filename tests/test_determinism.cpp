@@ -261,49 +261,6 @@ TEST(Determinism, GomoryHuTreeBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Transport bit-identity (DESIGN.md "Transport layer & multi-process
-// execution"): the full e1 pipeline must return the identical report —
-// result, stats and every pre-existing non-traffic metric — whether rounds
-// run as thread-pool tasks (local) or as forked worker processes over
-// shared-memory rings (shm at 1, 2 and 4 processes). Only
-// wire_bytes_sent/flush_batches (which describe the transport, not the
-// computation) may differ, and they are not part of the report at all.
-TEST(Determinism, AmpcMinCutBitIdenticalAcrossTransports) {
-  for (std::uint64_t seed = 0; seed < 2; ++seed) {
-    const WGraph g = gen_erdos_renyi(36, 0.2, seed + 77);
-    ampc::AmpcMinCutOptions opt;
-    opt.recursion.seed = seed;
-    opt.recursion.trials = 2;
-    opt.recursion.local_threshold = 8;
-    opt.recursion.threads = 1;  // one recursion thread; procs vary below
-    const auto local = ampc::ampc_approx_min_cut(g, opt);
-    opt.transport = transport::TransportKind::kShm;
-    for (const std::uint32_t procs : {1u, 2u, 4u}) {
-      opt.num_processes = procs;
-      const auto shm = ampc::ampc_approx_min_cut(g, opt);
-      EXPECT_EQ(shm.weight, local.weight) << "seed " << seed << " p" << procs;
-      EXPECT_EQ(shm.side, local.side) << "seed " << seed << " p" << procs;
-      EXPECT_EQ(shm.stats, local.stats) << "seed " << seed << " p" << procs;
-      EXPECT_EQ(shm.measured_rounds, local.measured_rounds)
-          << "seed " << seed << " p" << procs;
-      EXPECT_EQ(shm.charged_rounds, local.charged_rounds)
-          << "seed " << seed << " p" << procs;
-      EXPECT_EQ(shm.levels_used, local.levels_used)
-          << "seed " << seed << " p" << procs;
-      EXPECT_EQ(shm.dht_reads, local.dht_reads)
-          << "seed " << seed << " p" << procs;
-      EXPECT_EQ(shm.dht_writes, local.dht_writes)
-          << "seed " << seed << " p" << procs;
-      EXPECT_EQ(shm.max_machine_traffic, local.max_machine_traffic)
-          << "seed " << seed << " p" << procs;
-      EXPECT_EQ(shm.peak_table_words, local.peak_table_words)
-          << "seed " << seed << " p" << procs;
-      EXPECT_EQ(shm.budget_violations, local.budget_violations)
-          << "seed " << seed << " p" << procs;
-    }
-  }
-}
-
 TEST(Determinism, DifferentSeedsEventuallyDiffer) {
   // Sanity check that the seed actually feeds through: across many seeds the
   // Karger contraction must produce at least two distinct cut sides.

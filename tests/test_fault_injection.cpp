@@ -18,8 +18,10 @@
 #include "ampc/runtime.h"
 #include "ampc_algo/kcut_ampc.h"
 #include "ampc_algo/mincut_ampc.h"
+#include "ampc_algo/singleton_ampc.h"
 #include "exact/stoer_wagner.h"
 #include "graph/generators.h"
+#include "mincut/contraction.h"
 #include "support/errors.h"
 #include "support/threadpool.h"
 
@@ -116,6 +118,66 @@ void expect_reports_equal(const AmpcMinCutReport& a,
   EXPECT_EQ(a.budget_violations, b.budget_violations);
 }
 
+// Tracker harness: one ampc_min_singleton_cut run on a fixed weighted graph,
+// keeping the result and every metric above Metrics' robustness line.
+struct TrackerRun {
+  SingletonCutResult result;
+  std::uint64_t rounds = 0;
+  std::uint64_t charged_rounds = 0;
+  std::uint64_t dht_reads = 0;
+  std::uint64_t dht_writes = 0;
+  std::uint64_t max_machine_traffic = 0;
+  std::uint64_t peak_table_words = 0;
+  std::uint64_t budget_violations = 0;
+  std::uint64_t rounds_retried = 0;
+  std::uint64_t machine_failures = 0;
+  std::uint64_t intervals_round = 0;  // round index of singleton.intervals
+};
+
+TrackerRun run_tracker(const FaultPlan& plan, ThreadPool& pool) {
+  WGraph g = gen_random_connected(48, 192, 31);
+  randomize_weights(g, 9, 32);
+  Config cfg = Config::for_problem(g.n + g.m(), 0.5);
+  cfg.fault = plan;
+  Runtime rt(cfg, &pool);
+  TrackerRun run;
+  run.result = ampc_min_singleton_cut(rt, g, make_contraction_order(g, 5));
+  const Metrics& m = rt.metrics();
+  run.rounds = m.rounds;
+  run.charged_rounds = m.charged_rounds;
+  run.dht_reads = m.dht_reads;
+  run.dht_writes = m.dht_writes;
+  run.max_machine_traffic = m.max_machine_traffic;
+  run.peak_table_words = m.peak_table_words;
+  run.budget_violations = m.budget_violations.load();
+  run.rounds_retried = m.rounds_retried;
+  run.machine_failures = m.machine_failures.load();
+  // The interval round runs once, and only the segmented min-prefix rounds
+  // follow it, so its index counts back from the last round.
+  EXPECT_EQ(m.rounds_by_label.at("singleton.intervals"), 1u);
+  std::uint64_t after = 0;
+  for (const char* label :
+       {"segmented_min_prefix.leaf", "segmented_min_prefix.combine"}) {
+    const auto it = m.rounds_by_label.find(label);
+    if (it != m.rounds_by_label.end()) after += it->second;
+  }
+  run.intervals_round = m.rounds - 1 - after;
+  return run;
+}
+
+void expect_same_tracker_run(const TrackerRun& a, const TrackerRun& b) {
+  EXPECT_EQ(a.result.weight, b.result.weight);
+  EXPECT_EQ(a.result.rep, b.result.rep);
+  EXPECT_EQ(a.result.time, b.result.time);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.charged_rounds, b.charged_rounds);
+  EXPECT_EQ(a.dht_reads, b.dht_reads);
+  EXPECT_EQ(a.dht_writes, b.dht_writes);
+  EXPECT_EQ(a.max_machine_traffic, b.max_machine_traffic);
+  EXPECT_EQ(a.peak_table_words, b.peak_table_words);
+  EXPECT_EQ(a.budget_violations, b.budget_violations);
+}
+
 FaultPlan small_chaos_plan(std::uint64_t seed) {
   FaultPlan p;
   p.seed = seed;
@@ -191,6 +253,21 @@ TEST(FaultInjection, EachFailureKindRecoversBitIdentically) {
     EXPECT_EQ(w1.rounds_retried, w.rounds_retried);
     EXPECT_EQ(w1.machine_failures, w.machine_failures);
     EXPECT_EQ(w1.faults_injected, w.faults_injected);
+  }
+  // A crash in the tracker's interval round, whose machines each assign
+  // their output to a per-machine slot: the replay must overwrite those
+  // slots, not add to them, at either thread count. Machine 7 crashes after
+  // machines 0-6 filled their slots even when one thread runs them in order.
+  const TrackerRun clean = run_tracker(FaultPlan{}, pool);
+  FaultPlan crash;
+  crash.scheduled = {{clean.intervals_round, 7, FaultKind::kMachineCrash}};
+  ThreadPool solo(1);
+  for (ThreadPool* threads : {&solo, &pool}) {
+    SCOPED_TRACE(threads->num_threads());
+    const TrackerRun t = run_tracker(crash, *threads);
+    expect_same_tracker_run(clean, t);
+    EXPECT_EQ(t.rounds_retried, 1u);
+    EXPECT_EQ(t.machine_failures, 1u);
   }
 }
 

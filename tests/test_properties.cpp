@@ -90,6 +90,10 @@ struct TreeCase {
   std::uint64_t seed;
 };
 
+void PrintTo(const TreeCase& c, std::ostream* os) {
+  *os << c.family << "/n" << c.n << "/seed" << c.seed;
+}
+
 WGraph make_tree_graph(const TreeCase& c) {
   if (c.family == "path") return gen_path(c.n);
   if (c.family == "star") return gen_star(c.n);

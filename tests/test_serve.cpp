@@ -413,6 +413,23 @@ TEST(Serve, InfiniteWeightEdgesServeSaturated) {
   EXPECT_EQ(server.query(0, 1), kInfiniteWeight);
 }
 
+TEST(Serve, KernelMergeOfInfiniteParallelEdgesSaturates) {
+  // The kernel's merge pass folds (0,1,inf) and (0,1,1) into one edge; the
+  // sum must clamp at kInfiniteWeight instead of wrapping to 0.
+  WGraph g;
+  g.n = 3;
+  g.add_edge(0, 1, kInfiniteWeight);
+  g.add_edge(0, 1, 1);
+  g.add_edge(1, 2, 5);
+  CutServerOptions on;
+  on.kernel = kernel::enabled_defaults();
+  CutServer with_kernel(g, on);
+  CutServer without(g, CutServerOptions{});
+  EXPECT_EQ(with_kernel.query(0, 1), kInfiniteWeight);
+  EXPECT_EQ(with_kernel.query(0, 1), without.query(0, 1));
+  EXPECT_EQ(with_kernel.query(1, 2), 5U);
+}
+
 // --- Served k-cut and scenarios ---------------------------------------------
 
 TEST(Serve, SnapshotKCutMatchesDirectConstruction) {

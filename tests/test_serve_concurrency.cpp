@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -85,13 +86,18 @@ TEST(ServeConcurrency, PinnedSnapshotsAnswerTheirOwnEpochDuringSwaps) {
   opt.cache_capacity = 0;  // raw snapshot reads; the cache gets its own test
   CutServer server(odd_graph(), opt);
 
+  constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> mismatches{0};
   std::atomic<std::uint64_t> checked{0};
+  std::latch started(kReaders);
+  std::atomic<int> first_passes{0};
   std::vector<std::thread> readers;
-  readers.reserve(4);
-  for (int r = 0; r < 4; ++r) {
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
+      started.count_down();
+      bool first = true;
       while (!stop.load(std::memory_order_acquire)) {
         const auto snap = server.snapshot();  // pin once, then read a lot
         const std::uint64_t epoch = snap->epoch();
@@ -102,11 +108,26 @@ TEST(ServeConcurrency, PinnedSnapshotsAnswerTheirOwnEpochDuringSwaps) {
           }
           checked.fetch_add(1, std::memory_order_relaxed);
         }
+        if (first) {
+          first = false;
+          first_passes.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
+  // The swaps must interleave with reads, whatever the scheduler does: no
+  // swap before every reader has checked one full pass, and none after it
+  // until the readers have checked more answers.
+  started.wait();
+  while (first_passes.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
   for (int swap = 0; swap < 24; ++swap) {
     server.update_graph(swap % 2 == 0 ? even_graph() : odd_graph());
+    const std::uint64_t seen = checked.load(std::memory_order_relaxed);
+    while (checked.load(std::memory_order_relaxed) == seen) {
+      std::this_thread::yield();
+    }
   }
   stop.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();

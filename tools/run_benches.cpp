@@ -9,20 +9,11 @@
 // Usage (from the repo root, after building into build/):
 //   ./build/tools/run_benches [--smoke|--full] [--bench-dir build/bench]
 //                             [--out-dir .] [--only <suite-substring>]
-//                             [--threads N] [--transport local|shm]
-//                             [--procs N]
+//                             [--threads N]
 //
 // --threads is forwarded to every bench (recursion-driver parallelism;
 // 0/absent = hardware concurrency, 1 = the sequential path). Thread count
 // changes only ns_per_op, never results.
-//
-// --transport (and its companion --procs, the shm worker count) is forwarded
-// the same way: it selects the AMPC round execution strategy (DESIGN.md
-// "Transport layer & multi-process execution"). Like --threads it changes
-// only ns_per_op and wire traffic — results and model metrics are
-// bit-identical across transports, which is exactly why forwarding it is
-// safe for the trajectory files. A worker process dying unrecovered surfaces
-// as a named exit code (86/87/88, transport/wire.h), not a silent retry.
 //
 // --only runs and validates the matching suites but never rewrites the
 // trajectory files (a partial run must not clobber the other suites' data).
@@ -40,6 +31,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,7 +42,6 @@
 
 #include "support/bench_report.h"
 #include "support/json.h"
-#include "transport/wire.h"
 
 namespace fs = std::filesystem;
 using ampccut::json::Value;
@@ -125,25 +116,6 @@ bool run_bench_cmd(const std::string& cmd, const char* name,
   } else if (WIFSIGNALED(rc)) {
     std::snprintf(buf, sizeof(buf), "%s killed by signal %d", name,
                   WTERMSIG(rc));
-  } else if (WIFEXITED(rc) &&
-             (WEXITSTATUS(rc) == ampccut::transport::kWorkerExitMachineFailed ||
-              WEXITSTATUS(rc) == ampccut::transport::kWorkerExitBudget ||
-              WEXITSTATUS(rc) == ampccut::transport::kWorkerExitInternal)) {
-    // The shm transport's worker exit codes (transport/wire.h). Seeing one
-    // HERE means a transport worker died and its driver propagated the code
-    // instead of recovering — name the failure class so the trajectory run's
-    // log reads as "worker died", not a mystery status.
-    const int code = WEXITSTATUS(rc);
-    const char* what =
-        code == ampccut::transport::kWorkerExitMachineFailed
-            ? "machine failure"
-            : (code == ampccut::transport::kWorkerExitBudget
-                   ? "strict-budget violation"
-                   : "internal error");
-    std::snprintf(buf, sizeof(buf),
-                  "%s: shm transport worker process died with exit code %d "
-                  "(%s) and the failure was not recovered",
-                  name, code, what);
   } else {
     std::snprintf(buf, sizeof(buf), "%s exited with status %d", name,
                   WIFEXITED(rc) ? WEXITSTATUS(rc) : rc);
@@ -204,15 +176,6 @@ int main(int argc, char** argv) {
   const fs::path out_dir = arg_value(argc, argv, "--out-dir", ".");
   const char* only = arg_value(argc, argv, "--only", nullptr);
   const char* threads = arg_value(argc, argv, "--threads", nullptr);
-  const char* transport = arg_value(argc, argv, "--transport", nullptr);
-  const char* procs = arg_value(argc, argv, "--procs", nullptr);
-  if (transport != nullptr && std::strcmp(transport, "local") != 0 &&
-      std::strcmp(transport, "shm") != 0) {
-    std::fprintf(stderr,
-                 "run_benches: unknown transport '%s' (expected local|shm)\n",
-                 transport);
-    return 1;
-  }
   const long timeout_secs =
       std::strtol(arg_value(argc, argv, "--timeout", "900"), nullptr, 10);
   const bool smoke = has_flag(argc, argv, "--smoke");
@@ -243,14 +206,6 @@ int main(int argc, char** argv) {
     if (threads != nullptr) {
       cmd += " --threads ";
       cmd += threads;
-    }
-    if (transport != nullptr) {
-      cmd += " --transport ";
-      cmd += transport;
-    }
-    if (procs != nullptr) {
-      cmd += " --procs ";
-      cmd += procs;
     }
 #ifdef __unix__
     if (timeout_secs > 0) {
