@@ -123,4 +123,12 @@ class GraphIoError : public Error {
   using Error::Error;
 };
 
+// Failure in the standalone IPC primitives (src/transport/): a malformed or
+// truncated wire frame, or a shared-memory ring that cannot be created,
+// attached or drained.
+class TransportError : public Error {
+ public:
+  using Error::Error;
+};
+
 }  // namespace ampccut

@@ -1,7 +1,10 @@
-// Length-prefixed wire format for the cross-process AMPC transport
-// (DESIGN.md "Transport layer & multi-process execution").
+// Length-prefixed wire format of the removed multi-process round backend
+// (DESIGN.md "Multi-process execution (removed)"). Nothing in src/ speaks
+// it any more; it stays as a standalone codec, exercised by
+// tests/test_wire.cpp and by the exec'd protocol harness tools/ampc_worker
+// over the rings in shm_ring.h.
 //
-// Every message a worker process sends to the driver is one frame:
+// Every message is one frame:
 //
 //   [u32 payload_len][u8 kind][payload_len bytes of payload]
 //
@@ -15,15 +18,14 @@
 //
 //   kPutBatch      u32 table  u64 machine  u32 count  u8 ksize  u8 vsize
 //                  u16 reserved, then count * (ksize + vsize) bytes of
-//                  key/value pairs. One machine's staged writes to one
-//                  table, already combiner-aggregated for commutative merge
-//                  policies (runtime.h wire_encode_machine); large batches
-//                  split into multiple frames, applied in arrival order.
+//                  key/value pairs: one machine's staged writes to one
+//                  table. Large batches split into multiple frames
+//                  (encode_put_frames), applied in arrival order.
 //   kMachineDone   u64 machine  u64 reads  u64 writes  u64 faults_delta —
 //                  the machine finished; its traffic plus any slow-machine
 //                  faults injected while it ran.
 //   kDriverBlob    u64 machine  u64 size, then size bytes — an opaque
-//                  MachineContext::driver_return payload for the driver.
+//                  per-machine payload for the receiving side.
 //   kRoundBarrier  u64 worker  u64 machines_run — the worker completed its
 //                  whole machine range and is about to exit 0.
 //   kWorkerError   u64 machine  u64 faults_delta  u32 code  u32 msg_len,
@@ -32,19 +34,16 @@
 //   kReadRequest   u32 table  u64 machine  u32 ksize, then key bytes.
 //   kReadReply     u32 found  u32 vsize, then value bytes.
 //
-// kReadRequest/kReadReply are exercised by tools/ampc_worker (the exec'd
-// protocol harness): under the fork launcher adaptive reads never traverse
-// the wire — the forked child reads the committed tables through its
-// copy-on-write snapshot, which IS the round's frozen H_{i-1}.
-//
 // Malformed input (truncated buffer, unknown kind, length overflow,
 // inconsistent batch sizes) throws TransportError (support/errors.h) — the
 // decoder never trusts a byte it has not bounds-checked.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/errors.h"
@@ -191,6 +190,43 @@ void append_put_batch_prefix(std::vector<std::uint8_t>* out,
                              std::uint8_t value_size);
 PutBatch decode_put_batch(const std::uint8_t* payload, std::size_t size);
 
+// Per-frame ceiling for encoded put batches: well under kMaxFramePayload so
+// ring occupancy (and with it consumer drain latency) stays bounded even
+// when one machine's batch is far larger than one ring can hold.
+inline constexpr std::size_t kPutChunkBytes = 256u * 1024;
+
+// Serializes key/value pairs as chunked kPutBatch frames appended to `out`.
+// Returns the number of frames.
+template <class K, class V>
+std::uint64_t encode_put_frames(std::uint32_t table_index,
+                                std::uint64_t machine,
+                                const std::vector<std::pair<K, V>>& pairs,
+                                std::vector<std::uint8_t>* out) {
+  static_assert(sizeof(K) <= 255 && sizeof(V) <= 255,
+                "wire batch entry sizes are u8 fields");
+  constexpr std::size_t kEntry = sizeof(K) + sizeof(V);
+  constexpr std::size_t kPerFrame =
+      (kPutChunkBytes - kPutBatchPrefixBytes) / kEntry;
+  static_assert(kPerFrame >= 1);
+  std::uint64_t frames = 0;
+  std::vector<std::uint8_t> payload;
+  for (std::size_t at = 0; at < pairs.size(); at += kPerFrame) {
+    const std::size_t n = std::min(kPerFrame, pairs.size() - at);
+    payload.clear();
+    append_put_batch_prefix(&payload, table_index, machine,
+                            static_cast<std::uint32_t>(n),
+                            static_cast<std::uint8_t>(sizeof(K)),
+                            static_cast<std::uint8_t>(sizeof(V)));
+    for (std::size_t i = at; i < at + n; ++i) {
+      append_bytes(&payload, &pairs[i].first, sizeof(K));
+      append_bytes(&payload, &pairs[i].second, sizeof(V));
+    }
+    append_frame(out, FrameKind::kPutBatch, payload.data(), payload.size());
+    ++frames;
+  }
+  return frames;
+}
+
 struct MachineDone {
   std::uint64_t machine = 0;
   std::uint64_t reads = 0;
@@ -222,8 +258,8 @@ RoundBarrier decode_round_barrier(const std::uint8_t* payload,
                                   std::size_t size);
 
 // Worker exit codes paired with kWorkerError frames. Values stay clear of
-// 0 (success), 124 (timeout(1)) and shell conventions so run_benches and the
-// launcher can decode a dead worker's status loudly.
+// 0 (success), 124 (timeout(1)) and shell conventions so a dead worker's
+// status decodes loudly.
 inline constexpr int kWorkerExitMachineFailed = 86;  // MachineFailedError
 inline constexpr int kWorkerExitBudget = 87;         // BudgetExceededError
 inline constexpr int kWorkerExitInternal = 88;       // any other exception

@@ -231,5 +231,85 @@ TEST(CrossValidation, KernelizedKCutAgreesOnAllBackends) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Transport-setting layer: AmpcMinCutOptions still carries the `transport`
+// and `num_processes` fields that cutbench (the repo benchmark) assigns,
+// although rounds always run in-process now. The e1 min-cut and e4 k-cut
+// reports — results AND model accounting — must be bit-identical whatever
+// they are set to, with the kernel front-end both off and on.
+
+void expect_mincut_reports_equal(const ampc::AmpcMinCutReport& a,
+                                 const ampc::AmpcMinCutReport& b,
+                                 const std::string& what) {
+  EXPECT_EQ(a.weight, b.weight) << what;
+  EXPECT_EQ(a.side, b.side) << what;
+  EXPECT_EQ(a.stats, b.stats) << what;
+  EXPECT_EQ(a.measured_rounds, b.measured_rounds) << what;
+  EXPECT_EQ(a.charged_rounds, b.charged_rounds) << what;
+  EXPECT_EQ(a.levels_used, b.levels_used) << what;
+  EXPECT_EQ(a.dht_reads, b.dht_reads) << what;
+  EXPECT_EQ(a.dht_writes, b.dht_writes) << what;
+  EXPECT_EQ(a.max_machine_traffic, b.max_machine_traffic) << what;
+  EXPECT_EQ(a.peak_table_words, b.peak_table_words) << what;
+  EXPECT_EQ(a.budget_violations, b.budget_violations) << what;
+}
+
+TEST(CrossValidation, MinCutReportBitIdenticalAcrossTransports) {
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const WGraph g = kernel_zoo_case(i * 5 + 2);
+    for (const bool kernel_on : {false, true}) {
+      ampc::AmpcMinCutOptions opt;
+      opt.recursion.seed = i;
+      opt.recursion.trials = 4;
+      opt.recursion.local_threshold = 4;
+      opt.recursion.threads = 1;
+      if (kernel_on) opt.recursion.kernel = kernel::enabled_defaults();
+      const auto base = ampc::ampc_approx_min_cut(g, opt);
+      EXPECT_EQ(base.weight, stoer_wagner_min_cut(g).weight)
+          << "case " << i << " kernel " << kernel_on;
+      opt.transport = ampc::TransportKind::kLocal;
+      for (const std::uint32_t procs : {1u, 2u, 4u}) {
+        opt.num_processes = procs;
+        const auto set = ampc::ampc_approx_min_cut(g, opt);
+        expect_mincut_reports_equal(
+            set, base,
+            "case " + std::to_string(i) + " kernel " +
+                std::to_string(kernel_on) + " procs " + std::to_string(procs));
+      }
+    }
+  }
+}
+
+TEST(CrossValidation, KCutReportBitIdenticalAcrossTransports) {
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    // Connected cases only (see KernelizedKCutAgreesOnAllBackends).
+    const WGraph g = kernel_zoo_case((i % 3 == 2) ? 3 * i + 1 : 3 * i);
+    const auto k = static_cast<std::uint32_t>(2 + i % 2);
+    for (const bool kernel_on : {false, true}) {
+      ampc::AmpcMinCutOptions opt;
+      opt.recursion.seed = i;
+      opt.recursion.trials = 4;
+      opt.recursion.local_threshold = 4;
+      opt.recursion.threads = 1;
+      if (kernel_on) opt.recursion.kernel = kernel::enabled_defaults();
+      const ampc::AmpcKCutReport base = ampc::ampc_apx_split_k_cut(g, k, opt);
+      opt.transport = ampc::TransportKind::kLocal;
+      for (const std::uint32_t procs : {1u, 2u, 4u}) {
+        opt.num_processes = procs;
+        const ampc::AmpcKCutReport set = ampc::ampc_apx_split_k_cut(g, k, opt);
+        const std::string what = "case " + std::to_string(i) + " kernel " +
+                                 std::to_string(kernel_on) + " procs " +
+                                 std::to_string(procs);
+        EXPECT_EQ(set.result.weight, base.result.weight) << what;
+        EXPECT_EQ(set.result.part, base.result.part) << what;
+        EXPECT_EQ(set.result.num_parts, base.result.num_parts) << what;
+        EXPECT_EQ(set.measured_rounds, base.measured_rounds) << what;
+        EXPECT_EQ(set.charged_rounds, base.charged_rounds) << what;
+        EXPECT_EQ(k_cut_weight(g, set.result.part), set.result.weight) << what;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ampccut

@@ -261,6 +261,46 @@ TEST(Determinism, GomoryHuTreeBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Transport-setting bit-identity: AmpcMinCutOptions still carries the
+// `transport` and `num_processes` fields that cutbench assigns, although
+// rounds always run in-process now. Setting them must not change the
+// report — result, stats or any model metric — at any process count.
+TEST(Determinism, AmpcMinCutBitIdenticalAcrossTransports) {
+  for (std::uint64_t seed = 0; seed < 2; ++seed) {
+    const WGraph g = gen_erdos_renyi(36, 0.2, seed + 77);
+    ampc::AmpcMinCutOptions opt;
+    opt.recursion.seed = seed;
+    opt.recursion.trials = 2;
+    opt.recursion.local_threshold = 8;
+    opt.recursion.threads = 1;
+    const auto base = ampc::ampc_approx_min_cut(g, opt);
+    opt.transport = ampc::TransportKind::kLocal;
+    for (const std::uint32_t procs : {1u, 2u, 4u}) {
+      opt.num_processes = procs;
+      const auto set = ampc::ampc_approx_min_cut(g, opt);
+      EXPECT_EQ(set.weight, base.weight) << "seed " << seed << " p" << procs;
+      EXPECT_EQ(set.side, base.side) << "seed " << seed << " p" << procs;
+      EXPECT_EQ(set.stats, base.stats) << "seed " << seed << " p" << procs;
+      EXPECT_EQ(set.measured_rounds, base.measured_rounds)
+          << "seed " << seed << " p" << procs;
+      EXPECT_EQ(set.charged_rounds, base.charged_rounds)
+          << "seed " << seed << " p" << procs;
+      EXPECT_EQ(set.levels_used, base.levels_used)
+          << "seed " << seed << " p" << procs;
+      EXPECT_EQ(set.dht_reads, base.dht_reads)
+          << "seed " << seed << " p" << procs;
+      EXPECT_EQ(set.dht_writes, base.dht_writes)
+          << "seed " << seed << " p" << procs;
+      EXPECT_EQ(set.max_machine_traffic, base.max_machine_traffic)
+          << "seed " << seed << " p" << procs;
+      EXPECT_EQ(set.peak_table_words, base.peak_table_words)
+          << "seed " << seed << " p" << procs;
+      EXPECT_EQ(set.budget_violations, base.budget_violations)
+          << "seed " << seed << " p" << procs;
+    }
+  }
+}
+
 TEST(Determinism, DifferentSeedsEventuallyDiffer) {
   // Sanity check that the seed actually feeds through: across many seeds the
   // Karger contraction must produce at least two distinct cut sides.

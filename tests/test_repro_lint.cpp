@@ -363,6 +363,24 @@ TEST(ReproLintTree, FaultLayerIsInScopeAndClean) {
   EXPECT_TRUE(er.allowed.empty());
 }
 
+// The transport layer decodes wire bytes and drains shared-memory rings —
+// exactly the kind of code the lint exists for — so it is pinned in-walk
+// with zero findings AND zero allow directives.
+TEST(ReproLintTree, TransportLayerIsInScopeAndClean) {
+  Report r;
+  std::string err;
+  ASSERT_TRUE(scan_tree(AMPC_CUT_SOURCE_DIR, {"src/transport"}, r, &err))
+      << err;
+  // shm_ring.h, shm_ring.cpp, wire.h, wire.cpp.
+  EXPECT_GE(r.files_scanned, 4);
+  std::string diag;
+  for (const Finding& f : r.findings) {
+    diag += f.file + ':' + std::to_string(f.line) + ' ' + f.message + '\n';
+  }
+  EXPECT_TRUE(r.findings.empty()) << diag;
+  EXPECT_TRUE(r.allowed.empty()) << "transport layer should need no allowlist";
+}
+
 // The serving tier answers external queries off shared snapshots — its LRU
 // lists, shard hashing, and batch fan-out must all be free of hidden
 // nondeterminism (the batch-vs-sequential bit-identity contract in

@@ -186,13 +186,18 @@ TEST(ServeConcurrency, ConcurrentBatchesAreInternallyOneEpoch) {
   opt.cache_capacity = 0;
   CutServer server(odd_graph(), opt);
 
+  constexpr int kReaders = 3;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> inconsistent{0};
   std::atomic<std::uint64_t> batches{0};
+  std::latch started(kReaders);
+  std::atomic<int> first_batches{0};
   std::vector<std::thread> readers;
-  readers.reserve(3);
-  for (int r = 0; r < 3; ++r) {
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
+      started.count_down();
+      bool first = true;
       while (!stop.load(std::memory_order_acquire)) {
         const auto answers = server.query_batch(pairs);
         // Infer the serving parity from answer 0; every other slot must
@@ -205,11 +210,26 @@ TEST(ServeConcurrency, ConcurrentBatchesAreInternallyOneEpoch) {
           }
         }
         batches.fetch_add(1, std::memory_order_relaxed);
+        if (first) {
+          first = false;
+          first_batches.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
+  // As above: every reader finishes one batch before the first swap, and
+  // each swap waits for another batch, so batches overlap the swaps however
+  // late the reader threads get scheduled.
+  started.wait();
+  while (first_batches.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
   for (int swap = 0; swap < 16; ++swap) {
     server.update_graph(swap % 2 == 0 ? even_graph() : odd_graph());
+    const std::uint64_t seen = batches.load(std::memory_order_relaxed);
+    while (batches.load(std::memory_order_relaxed) == seen) {
+      std::this_thread::yield();
+    }
   }
   stop.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();

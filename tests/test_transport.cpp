@@ -1,40 +1,19 @@
-// Transport seam (src/transport/; DESIGN.md "Transport layer & multi-process
-// execution").
-//
-// The contract under test: every committed table value, driver-return blob,
-// stat and pre-existing non-traffic metric is bit-identical between
-// LocalTransport and ShmTransport at 1, 2 and 4 worker processes — the shm
-// drain reconstructs the same per-machine staging buffers the local path
-// fills directly, and the barrier commit that follows is the identical
-// two-phase machine-id-ordered commit. Also covered: the shared-memory ring
-// itself, combiner aggregation under every merge policy, real
-// worker-process death feeding the round-replay recovery, strict-budget
-// escalation across the process boundary, and the in-worker registration
-// guard. Suite name Transport* is in the tsan preset filter and the
-// multiproc CI job's -R expression.
+// Shared-memory ring (src/transport/shm_ring.h): frames round-trip through a
+// real shm segment, a producer thread can push far more than the ring's
+// capacity while the consumer drains concurrently, and reset empties the
+// ring. Suite name Transport* is in the tsan preset filter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ampc/fault.h"
-#include "ampc/runtime.h"
-#include "support/errors.h"
-#include "support/threadpool.h"
-#include "transport/transport.h"
-#include "transport/wire.h"
+#include "transport/shm_ring.h"
 
-namespace ampccut::ampc {
+namespace ampccut::transport {
 namespace {
-
-using transport::ShmRegion;
-using transport::ShmRing;
-using transport::TransportKind;
 
 // ---------------------------------------------------------------------------
 // Shared-memory ring
@@ -92,311 +71,5 @@ TEST(TransportRing, ResetRestoresAnEmptyRing) {
   EXPECT_EQ(ring.read_some(&out), 0u);
 }
 
-TEST(Transport, KindParsingRoundTrips) {
-  EXPECT_EQ(transport::parse_transport_kind("local"), TransportKind::kLocal);
-  EXPECT_EQ(transport::parse_transport_kind("shm"), TransportKind::kShm);
-  EXPECT_FALSE(transport::parse_transport_kind("tcp").has_value());
-  EXPECT_STREQ(transport::transport_kind_name(TransportKind::kLocal),
-               "local");
-  EXPECT_STREQ(transport::transport_kind_name(TransportKind::kShm), "shm");
-}
-
-// ---------------------------------------------------------------------------
-// Local-vs-shm bit-identity on a direct-runtime workload
-
-constexpr std::uint64_t kMachines = 8;
-constexpr std::uint64_t kPerMachine = 32;
-constexpr std::uint64_t kKeys = kMachines * kPerMachine;
-
-struct WorkloadResult {
-  std::vector<std::uint64_t> dense;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sparse;
-  std::vector<std::vector<std::uint8_t>> returns;
-  std::uint64_t rounds = 0;
-  std::uint64_t dht_reads = 0;
-  std::uint64_t dht_writes = 0;
-  std::uint64_t max_machine_traffic = 0;
-  std::uint64_t peak_table_words = 0;
-  std::uint64_t budget_violations = 0;
-  std::uint64_t wire_bytes_sent = 0;
-  std::uint64_t flush_batches = 0;
-
-  void expect_same_as(const WorkloadResult& other) const {
-    EXPECT_EQ(dense, other.dense);
-    EXPECT_EQ(sparse, other.sparse);
-    EXPECT_EQ(returns, other.returns);
-    EXPECT_EQ(rounds, other.rounds);
-    EXPECT_EQ(dht_reads, other.dht_reads);
-    EXPECT_EQ(dht_writes, other.dht_writes);
-    EXPECT_EQ(max_machine_traffic, other.max_machine_traffic);
-    EXPECT_EQ(peak_table_words, other.peak_table_words);
-    EXPECT_EQ(budget_violations, other.budget_violations);
-  }
-};
-
-// The multiproc CI job re-runs this suite at several worker counts via
-// AMPC_TRANSPORT_PROCS; tests with one fixed shm process count route it
-// through here so the job's sweep actually varies them. Results must not
-// depend on the count — that is the invariant under test.
-std::uint32_t env_procs(std::uint32_t fallback) {
-  const char* v = std::getenv("AMPC_TRANSPORT_PROCS");
-  if (v == nullptr) return fallback;
-  const auto n = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-  return n == 0 ? fallback : n;
-}
-
-Config workload_config(TransportKind kind, std::uint32_t procs) {
-  Config cfg = Config::for_problem(4096, 0.5);  // 64-word machines
-  cfg.transport = kind;
-  cfg.num_processes = procs;
-  return cfg;
-}
-
-// Two rounds over dense + sparse tables plus a driver-side overflow write
-// and a per-machine driver_return blob: every transport-visible channel in
-// one workload. Same-key collisions inside a machine (the `k % 17` puts)
-// exercise the shm combiner; cross-machine collisions exercise commit
-// order.
-WorkloadResult run_workload(const Config& cfg, ThreadPool& pool) {
-  Runtime rt(cfg, &pool);
-  auto dense =
-      rt.lease_dense<std::uint64_t>("tr.dense", kKeys + 1, 0, Merge::kSum);
-  auto sparse =
-      rt.lease_table<std::uint64_t, std::uint64_t>("tr.sparse", Merge::kSum);
-  dense->put(kKeys, 1000);  // driver-side: stays in the parent's overflow
-  rt.round("tr.write", kMachines, [&](MachineContext& ctx) {
-    const std::uint64_t m = ctx.machine_id();
-    for (std::uint64_t i = 0; i < kPerMachine; ++i) {
-      const std::uint64_t k = m * kPerMachine + i;
-      dense->put(k, 3 * k + 1);
-      dense->put(k % 17, 1);  // same-key collisions for the combiner
-      sparse->put(k, k ^ 0x5aa5ull);
-      sparse->put(k % 13, 2);
-      (void)dense->get((k + 7) % kKeys);
-    }
-  });
-  rt.round("tr.derive", kMachines, [&](MachineContext& ctx) {
-    const std::uint64_t m = ctx.machine_id();
-    std::uint64_t acc = 0;
-    for (std::uint64_t i = 0; i < kPerMachine; ++i) {
-      const std::uint64_t k = m * kPerMachine + i;
-      acc += dense->get(k);
-      sparse->put(kKeys + k, dense->get(k) + sparse->at(k));
-    }
-    std::vector<std::uint8_t> blob(sizeof(acc));
-    std::memcpy(blob.data(), &acc, sizeof(acc));
-    ctx.driver_return(std::move(blob));
-  });
-  WorkloadResult r;
-  r.returns = rt.take_round_returns();
-  r.dense.reserve(kKeys + 1);
-  for (std::uint64_t k = 0; k <= kKeys; ++k) r.dense.push_back(dense->raw(k));
-  r.sparse = sparse->snapshot();
-  psort::stable_sort_keys(nullptr, r.sparse,
-                          std::less<std::pair<std::uint64_t, std::uint64_t>>{});
-  const Metrics& m = rt.metrics();
-  r.rounds = m.rounds;
-  r.dht_reads = m.dht_reads;
-  r.dht_writes = m.dht_writes;
-  r.max_machine_traffic = m.max_machine_traffic;
-  r.peak_table_words = m.peak_table_words;
-  r.budget_violations = m.budget_violations.load();
-  r.wire_bytes_sent = m.wire_bytes_sent;
-  r.flush_batches = m.flush_batches;
-  return r;
-}
-
-TEST(Transport, ShmMatchesLocalAtEveryProcessCount) {
-  ThreadPool pool(4);
-  const WorkloadResult local =
-      run_workload(workload_config(TransportKind::kLocal, 1), pool);
-  // Sanity anchors so "identical" cannot mean "identically wrong".
-  EXPECT_EQ(local.dense[kKeys], 1000u);
-  EXPECT_EQ(local.rounds, 2u);
-  EXPECT_EQ(local.wire_bytes_sent, 0u);  // local moves no wire bytes
-  EXPECT_EQ(local.flush_batches, 0u);
-  for (const std::uint32_t procs : {1u, 2u, 4u}) {
-    SCOPED_TRACE("procs=" + std::to_string(procs));
-    const WorkloadResult shm =
-        run_workload(workload_config(TransportKind::kShm, procs), pool);
-    shm.expect_same_as(local);
-    EXPECT_GT(shm.wire_bytes_sent, 0u);
-    EXPECT_GT(shm.flush_batches, 0u);
-  }
-}
-
-TEST(Transport, ShmIsDeterministicAcrossRuns) {
-  ThreadPool pool(4);
-  const WorkloadResult a =
-      run_workload(workload_config(TransportKind::kShm, env_procs(3)), pool);
-  const WorkloadResult b =
-      run_workload(workload_config(TransportKind::kShm, env_procs(3)), pool);
-  b.expect_same_as(a);
-  // Wire traffic is a pure function of the staged data, so it is
-  // reproducible too (it is just not part of the local/shm identity set).
-  EXPECT_EQ(a.wire_bytes_sent, b.wire_bytes_sent);
-  EXPECT_EQ(a.flush_batches, b.flush_batches);
-}
-
-// ---------------------------------------------------------------------------
-// Combiner safety across every merge policy
-
-template <Merge policy>
-std::vector<std::uint64_t> merge_workload(TransportKind kind) {
-  Config cfg = workload_config(kind, env_procs(4));
-  Runtime rt(cfg);
-  constexpr std::uint64_t kSlots = 64;
-  auto t = rt.lease_dense<std::uint64_t>(
-      "tr.merge", kSlots, policy == Merge::kMin ? ~0ull : 0ull, policy);
-  rt.round("tr.merge", kMachines, [&](MachineContext& ctx) {
-    const std::uint64_t m = ctx.machine_id();
-    for (std::uint64_t i = 0; i < 4 * kSlots; ++i) {
-      // Many same-key writes per machine: the shm combiner folds these
-      // before the wire; the local path commits them one by one. Values
-      // depend on (m, i) so kOverwrite's last-write-wins and kMin/kMax
-      // extrema differ across machines.
-      t->put((i * 7 + m) % kSlots, (m * 1315423911u) ^ (i * 2654435761u));
-    }
-  });
-  std::vector<std::uint64_t> out;
-  out.reserve(kSlots);
-  for (std::uint64_t i = 0; i < kSlots; ++i) out.push_back(t->raw(i));
-  return out;
-}
-
-TEST(Transport, CombinerPreservesEveryMergePolicy) {
-  EXPECT_EQ(merge_workload<Merge::kSum>(TransportKind::kLocal),
-            merge_workload<Merge::kSum>(TransportKind::kShm));
-  EXPECT_EQ(merge_workload<Merge::kMin>(TransportKind::kLocal),
-            merge_workload<Merge::kMin>(TransportKind::kShm));
-  EXPECT_EQ(merge_workload<Merge::kMax>(TransportKind::kLocal),
-            merge_workload<Merge::kMax>(TransportKind::kShm));
-  EXPECT_EQ(merge_workload<Merge::kOverwrite>(TransportKind::kLocal),
-            merge_workload<Merge::kOverwrite>(TransportKind::kShm));
-}
-
-// ---------------------------------------------------------------------------
-// Failure paths
-
-TEST(Transport, ShmWorkerCrashReplaysToFaultFreeAnswer) {
-  ThreadPool pool(4);
-  const WorkloadResult clean =
-      run_workload(workload_config(TransportKind::kLocal, 1), pool);
-  // The scheduled crash kills a real worker process (exit code 86 after a
-  // kWorkerError frame); the driver discards the round's staging and
-  // re-forks. One crash per round keeps the count assertions exact even
-  // though a dying worker skips its range's later machines.
-  Config cfg = workload_config(TransportKind::kShm, env_procs(2));
-  cfg.fault.scheduled = {{0, 3, FaultKind::kMachineCrash},
-                         {1, 5, FaultKind::kMachineCrash}};
-  Runtime rt(cfg, &pool);
-  {
-    auto dense =
-        rt.lease_dense<std::uint64_t>("tr.dense", kKeys + 1, 0, Merge::kSum);
-    auto sparse =
-        rt.lease_table<std::uint64_t, std::uint64_t>("tr.sparse",
-                                                     Merge::kSum);
-    dense->put(kKeys, 1000);
-    rt.round("tr.write", kMachines, [&](MachineContext& ctx) {
-      const std::uint64_t m = ctx.machine_id();
-      for (std::uint64_t i = 0; i < kPerMachine; ++i) {
-        const std::uint64_t k = m * kPerMachine + i;
-        dense->put(k, 3 * k + 1);
-        dense->put(k % 17, 1);
-        sparse->put(k, k ^ 0x5aa5ull);
-        sparse->put(k % 13, 2);
-        (void)dense->get((k + 7) % kKeys);
-      }
-    });
-    rt.round("tr.derive", kMachines, [&](MachineContext& ctx) {
-      const std::uint64_t m = ctx.machine_id();
-      std::uint64_t acc = 0;
-      for (std::uint64_t i = 0; i < kPerMachine; ++i) {
-        const std::uint64_t k = m * kPerMachine + i;
-        acc += dense->get(k);
-        sparse->put(kKeys + k, dense->get(k) + sparse->at(k));
-      }
-      std::vector<std::uint8_t> blob(sizeof(acc));
-      std::memcpy(blob.data(), &acc, sizeof(acc));
-      ctx.driver_return(std::move(blob));
-    });
-    WorkloadResult faulted;
-    faulted.returns = rt.take_round_returns();
-    for (std::uint64_t k = 0; k <= kKeys; ++k) {
-      faulted.dense.push_back(dense->raw(k));
-    }
-    faulted.sparse = sparse->snapshot();
-    psort::stable_sort_keys(
-        nullptr, faulted.sparse,
-        std::less<std::pair<std::uint64_t, std::uint64_t>>{});
-    const Metrics& m = rt.metrics();
-    faulted.rounds = m.rounds;
-    faulted.dht_reads = m.dht_reads;
-    faulted.dht_writes = m.dht_writes;
-    faulted.max_machine_traffic = m.max_machine_traffic;
-    faulted.peak_table_words = m.peak_table_words;
-    faulted.budget_violations = m.budget_violations.load();
-    faulted.expect_same_as(clean);
-    EXPECT_EQ(m.rounds_retried, 2u);
-    EXPECT_EQ(m.faults_injected.load(), 2u);
-    EXPECT_GE(m.machine_failures.load(), 2u);
-  }
-}
-
-TEST(Transport, ShmStrictBudgetSurfacesAcrossTheProcessBoundary) {
-  Config cfg = workload_config(TransportKind::kShm, env_procs(2));
-  cfg.strict_budget = true;  // 64-word budget; the round moves far more
-  Runtime rt(cfg);
-  auto t = rt.lease_dense<std::uint64_t>("tr.hot", 4096);
-  EXPECT_THROW(rt.round("tr.hot",
-                        4,
-                        [&](MachineContext& ctx) {
-                          for (std::uint64_t i = 0; i < 512; ++i) {
-                            t->put(ctx.machine_id() * 512 + i, i);
-                          }
-                        }),
-               BudgetExceededError);
-  // The runtime stays reusable after the deterministic failure.
-  rt.round("tr.after", 2, [&](MachineContext&) {});
-  EXPECT_EQ(rt.metrics().rounds, 2u);
-}
-
-TEST(Transport, TableRegistrationInsideWorkerFailsLoudly) {
-  Config cfg = workload_config(TransportKind::kShm, 2);
-  Runtime rt(cfg);
-  // Leasing a table inside the round body would create it only in the
-  // forked worker's copy-on-write memory; the guard turns that silent
-  // divergence into a loud error surfaced as a transport failure.
-  EXPECT_THROW(
-      rt.round("tr.rogue", 2,
-               [&](MachineContext&) {
-                 auto rogue = rt.lease_dense<std::uint64_t>("tr.rogue", 8);
-               }),
-      TransportError);
-}
-
-TEST(Transport, ResetForSubproblemCanSwitchTransports) {
-  ThreadPool pool(2);
-  Runtime rt(workload_config(TransportKind::kLocal, 1), &pool);
-  EXPECT_EQ(rt.transport_kind(), TransportKind::kLocal);
-  {
-    auto t = rt.lease_dense<std::uint64_t>("tr.sw", 16);
-    rt.round("tr.sw", 2, [&](MachineContext& ctx) {
-      t->put(ctx.machine_id(), ctx.machine_id() + 1);
-    });
-    EXPECT_EQ(t->raw(1), 2u);
-  }
-  rt.reset_for_subproblem(workload_config(TransportKind::kShm, 2));
-  EXPECT_EQ(rt.transport_kind(), TransportKind::kShm);
-  {
-    auto t = rt.lease_dense<std::uint64_t>("tr.sw", 16);
-    rt.round("tr.sw", 2, [&](MachineContext& ctx) {
-      t->put(ctx.machine_id(), ctx.machine_id() + 7);
-    });
-    EXPECT_EQ(t->raw(1), 8u);
-    EXPECT_GT(rt.metrics().wire_bytes_sent, 0u);
-  }
-}
-
 }  // namespace
-}  // namespace ampccut::ampc
+}  // namespace ampccut::transport

@@ -3,8 +3,7 @@
 // prefix length, unknown kinds, oversized lengths, and internally
 // inconsistent batches all throw TransportError rather than reading a byte
 // past what they bounds-checked. The fuzz cases are seeded-deterministic
-// (SplitMix64), so a failure reproduces exactly. Suite name Wire* is part of
-// the multiproc CI job's -R expression.
+// (SplitMix64), so a failure reproduces exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "ampc/runtime.h"
 #include "support/errors.h"
 #include "transport/wire.h"
 
@@ -271,8 +269,8 @@ TEST(Wire, ReadRequestAndReplyRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential fuzz: random batches through the SAME encoder the runtime
-// uses (ampc::detail::encode_put_frames), decoded and compared entry-wise.
+// Differential fuzz: random batches through the chunking encoder
+// (encode_put_frames), decoded and compared entry-wise.
 
 TEST(Wire, FuzzPutBatchEncoderDecoderAgree) {
   std::uint64_t seed = 0x5eedull;
@@ -286,8 +284,7 @@ TEST(Wire, FuzzPutBatchEncoderDecoderAgree) {
     const std::uint32_t table = static_cast<std::uint32_t>(mix(seed));
     const std::uint64_t machine = mix(seed);
     std::vector<std::uint8_t> buf;
-    const std::uint64_t frames =
-        ampc::detail::encode_put_frames(table, machine, pairs, &buf);
+    const std::uint64_t frames = encode_put_frames(table, machine, pairs, &buf);
     if (count == 0) {
       EXPECT_EQ(frames, 0u);
       EXPECT_TRUE(buf.empty());
@@ -335,8 +332,7 @@ TEST(Wire, FuzzTruncationNeverMisdecodes) {
     for (std::uint64_t j = 0; j < 1 + mix(seed) % 50; ++j) {
       pairs.emplace_back(mix(seed), mix(seed));
     }
-    ampc::detail::encode_put_frames(static_cast<std::uint32_t>(i), i, pairs,
-                                    &buf);
+    encode_put_frames(static_cast<std::uint32_t>(i), i, pairs, &buf);
   }
   for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
     std::size_t at = 0;

@@ -1,15 +1,11 @@
-// ampc_worker — exec'd wire-protocol conformance harness for the transport
-// layer (DESIGN.md "Transport layer & multi-process execution").
+// ampc_worker — exec'd wire-protocol conformance harness for the frame codec
+// (src/transport/wire.h) and the shared-memory ring (src/transport/
+// shm_ring.h).
 //
-// The production ShmTransport FORKS its workers (round bodies are closures;
-// the COW snapshot is the round's frozen H_{i-1}), so its two sides always
-// share one binary image. This tool is the missing severity: a worker that
-// attaches to the rings by NAME from a freshly exec'd process, with no
-// inherited memory, and speaks the full frame vocabulary — including
-// kReadRequest/kReadReply, the request/reply pair the fork launcher never
-// needs (forked children read committed tables through their snapshot). If
-// the ring layout or wire format ever drifted into accidentally depending on
-// shared process state, this harness is what breaks.
+// A worker attaches to the rings by NAME from a freshly exec'd process, with
+// no inherited memory, and speaks the full frame vocabulary, including the
+// kReadRequest/kReadReply request/reply pair. If the ring layout or wire
+// format ever depended on shared process state, this harness is what breaks.
 //
 //   ampc_worker --serve <in-shm> <out-shm> <capacity> <worker-id>
 //       Protocol server: attach to the named rings, announce readiness with
@@ -37,7 +33,7 @@
 #include <vector>
 
 #include "support/errors.h"
-#include "transport/transport.h"
+#include "transport/shm_ring.h"
 #include "transport/wire.h"
 
 namespace ampccut::transport {
@@ -91,7 +87,7 @@ void drain_frames(std::vector<std::uint8_t>* buf, const Fn& fn) {
       send_frame(out, FrameKind::kMachineDone, hello);
     }
     // table -> key bytes -> value bytes; last write wins (protocol harness —
-    // combiner/merge semantics are the runtime's job and tested there).
+    // merge semantics are the runtime's job and tested there).
     std::map<std::uint32_t, std::map<std::string, std::vector<std::uint8_t>>>
         store;
     std::uint64_t served = 0;
