@@ -16,7 +16,6 @@
 #include "ampc_algo/list_ranking.h"
 #include "ampc_algo/prefix_min.h"
 #include "bench_util.h"
-#include "exact/karger.h"
 #include "exact/stoer_wagner.h"
 #include "graph/generators.h"
 #include "kernel/kernel.h"
@@ -507,13 +506,12 @@ int main(int argc, char** argv) {
                                                                   1 << 15}) {
     bench_kernelize(h, n);
   }
-  // n = 1024 costs seconds per rep for both engines; full sweeps only.
+  // n = 1024 costs about a second per rep; full sweeps only.
   for (const std::uint64_t n : mode == Mode::kFull
                                    ? std::vector<std::uint64_t>{1 << 8, 1 << 10}
                                    : std::vector<std::uint64_t>{1 << 8}) {
     const WGraph g = gen_random_connected(static_cast<VertexId>(n), 4 * n, 5);
     bench_exact(h, "stoer_wagner", n, [&] { (void)stoer_wagner_min_cut(g); });
-    bench_exact(h, "karger_stein", n, [&] { (void)karger_stein(g, 1, 9); });
   }
 
   h.table.print();

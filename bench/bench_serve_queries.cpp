@@ -148,7 +148,9 @@ int main(int argc, char** argv) {
     }
     {
       BenchResult r = add_query_result("serve_query_batch", batch, batch_qps);
-      r.params["threads"] = static_cast<std::int64_t>(pool.num_threads());
+      // Extra, not params: the pool width is the recording machine's core
+      // count, and must not change the row's identity across machines.
+      r.extra["threads"] = static_cast<double>(pool.num_threads());
       rep.add(std::move(r));
     }
     {

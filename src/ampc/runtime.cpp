@@ -75,9 +75,7 @@ void Runtime::round(const char* label, std::size_t num_machines,
           body(ctx);
         } catch (const MachineFailedError&) {
           // Counted here (not at the throw site) so body-thrown failures
-          // count too. A one-thread pool stops the round at its first
-          // failure, so with several failures in one round the tally
-          // depends on the pool width.
+          // count too.
           metrics_.machine_failures.fetch_add(1, std::memory_order_relaxed);
           throw;
         }

@@ -192,18 +192,14 @@ class DirtyBuffers {
   std::atomic<std::uint32_t> count_{0};
 };
 
-// Commit protocol between Runtime and the tables. Staged writes live in
-// per-machine buffers (one per virtual machine plus a mutex-guarded overflow
-// slot for driver-side writes outside any machine); each table tracks the
-// buffers that actually received writes (DirtyBuffers above). The barrier
-// commit seals that list, then runs two phases the runtime can fan out over
-// the thread pool:
-//   phase A  partition_staged(d)  — group the d-th dirty buffer's entries by
-//                                   shard (independent across buffers);
-//   phase B  commit_shard(s)      — apply shard s's slice of every dirty
-//                                   buffer, in sealed (machine-id) order
-//                                   (independent across shards: disjoint key
-//                                   ranges).
+// Commit protocol between Runtime and the tables, implemented once by
+// StagedTable below. The barrier seals each table's dirty-buffer list, then
+// runs two phases the runtime can fan out over the thread pool:
+//   phase A  partition_staged(d) — group the d-th dirty buffer's entries by
+//            shard (independent across buffers);
+//   phase B  commit_shard(s)     — apply shard s's slice of every dirty
+//            buffer in sealed (machine-id) order (independent across
+//            shards: disjoint key ranges).
 // finish_commit() clears the dirty buffers (capacity retained).
 class TableBase {
  public:
@@ -241,12 +237,6 @@ class TableBase {
       commit_shard(s);
     }
     finish_commit();
-  }
-
-  // Standalone serial commit (tests / driver-side flushes).
-  void commit() {
-    seal_staged();
-    commit_sealed();
   }
 };
 
@@ -483,32 +473,181 @@ class TableLease {
   std::unique_ptr<T> table_;
 };
 
+namespace detail {
+
+// The staging-and-commit core shared by Table and DenseTable: registration,
+// the per-machine staging buffers with their overflow slot and dirty list,
+// and the TableBase commit protocol. Derived supplies the key -> shard map
+// (as the shard argument of stage()), num_commit_shards(), committed storage
+// and its reads, and one non-virtual hook the commit walk applies each
+// staged entry through:
+//   void commit_entry(std::size_t shard, Key& key, V& value);
+// Entries reach the hook in sealed machine-id order, overflow last, program
+// order within a buffer, so same-key kOverwrite writes resolve to the
+// highest-machine-id writer.
+template <class Derived, class Key, class V>
+class StagedTable : public TableBase {
+ public:
+  void begin_round(std::size_t num_buffers) override {
+    if (buffers_.size() < num_buffers) buffers_.resize(num_buffers);
+    dirty_.ensure_capacity(buffers_.size() + 1);  // + the overflow sentinel
+  }
+
+  std::uint64_t seal_staged() override {
+    const std::size_t nd = dirty_.seal();
+    std::uint64_t n = 0;
+    for (std::size_t d = 0; d < nd; ++d) {
+      n += buffer_at(dirty_.id_at(d)).entries.size();
+    }
+    return n;
+  }
+
+  [[nodiscard]] std::size_t num_dirty_buffers() const override {
+    return dirty_.count();
+  }
+
+  void partition_staged(std::size_t dirty_index) override {
+    Buffer& buf = buffer_at(dirty_.id_at(dirty_index));
+    const std::size_t shards = num_commit_shards();
+    buf.offsets.assign(shards + 1, 0);
+    for (const Staged& e : buf.entries) ++buf.offsets[e.shard + 1];
+    for (std::size_t s = 0; s < shards; ++s) {
+      buf.offsets[s + 1] += buf.offsets[s];
+    }
+    buf.parted.resize(buf.entries.size());
+    std::vector<std::uint32_t> cursor(buf.offsets.begin(),
+                                      buf.offsets.end() - 1);
+    for (Staged& e : buf.entries) {  // stable: program order within a shard
+      buf.parted[cursor[e.shard]++] = std::move(e);
+    }
+  }
+
+  void commit_shard(std::size_t shard) override {
+    Derived& self = static_cast<Derived&>(*this);
+    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
+      Buffer& buf = buffer_at(dirty_.id_at(d));  // sealed machine-id order
+      const std::uint32_t begin = buf.offsets[shard];
+      const std::uint32_t end = buf.offsets[shard + 1];
+      for (std::uint32_t i = begin; i < end; ++i) {
+        Staged& e = buf.parted[i];
+        self.commit_entry(shard, e.key, e.value);
+      }
+    }
+  }
+
+  void finish_commit() override {
+    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
+      clear(buffer_at(dirty_.id_at(d)));
+    }
+    dirty_.clear();
+  }
+
+  void discard_machine_staged() override {
+    bool overflow_dirty = false;
+    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
+      const std::uint32_t id = dirty_.id_at(d);
+      if (id == DirtyBuffers::kOverflow) {
+        overflow_dirty = true;  // staged outside the round; keep for retry
+        continue;
+      }
+      clear(buffers_[id]);
+    }
+    dirty_.clear();
+    if (overflow_dirty) dirty_.mark(DirtyBuffers::kOverflow);
+  }
+
+ protected:
+  StagedTable(Runtime& rt, std::string name, Merge policy)
+      : rt_(rt), name_(std::move(name)), policy_(policy) {
+    rt_.register_table(this);
+  }
+  ~StagedTable() override { rt_.unregister_table(this); }
+
+  // Read-side accounting: fault point, then `words` against the machine's
+  // budget. Driver-side reads (no active machine) count nothing.
+  void account_read(std::uint64_t words) const {
+    if (auto* ctx = MachineContext::current()) {
+      rt_.fault_point_read(*ctx);
+      ctx->count_read(words);
+    }
+  }
+
+  // Staged write of `words` words into `shard`; visible after the enclosing
+  // round's barrier.
+  void stage(std::uint32_t shard, Key key, V value, std::uint64_t words) {
+    if (auto* ctx = MachineContext::current()) {
+      rt_.fault_point_write(*ctx);
+      ctx->count_write(words);
+      Buffer& buf = buffers_[ctx->machine_id()];
+      if (buf.entries.empty()) {
+        dirty_.mark(static_cast<std::uint32_t>(ctx->machine_id()));
+      }
+      buf.entries.push_back({shard, std::move(key), std::move(value)});
+      return;
+    }
+    // Driver-side write outside any machine: the dedicated overflow buffer,
+    // committed after every machine's buffer.
+    std::lock_guard<std::mutex> lock(overflow_mu_);
+    if (overflow_.entries.empty()) dirty_.mark(DirtyBuffers::kOverflow);
+    overflow_.entries.push_back({shard, std::move(key), std::move(value)});
+  }
+
+  Runtime& rt_;
+  std::string name_;
+  Merge policy_;
+
+ private:
+  struct Staged {
+    std::uint32_t shard;
+    Key key;
+    V value;
+  };
+  // One per virtual machine, plus the dedicated overflow buffer. A buffer is
+  // only ever appended to by the thread running its machine, partitioned by
+  // one phase-A task, and read by phase-B tasks — never concurrently.
+  struct Buffer {
+    std::vector<Staged> entries;
+    std::vector<Staged> parted;            // entries grouped by shard
+    std::vector<std::uint32_t> offsets;    // per-shard ranges into parted
+  };
+
+  static void clear(Buffer& buf) {
+    buf.entries.clear();
+    buf.parted.clear();
+    buf.offsets.clear();
+  }
+
+  // The overflow buffer is addressed by the dirty sentinel — a member of its
+  // own (not a vector slot) so begin_round growth can never repurpose it as
+  // a machine buffer, and the sentinel's max value keeps its commit-last
+  // position through the sealed ordering.
+  [[nodiscard]] Buffer& buffer_at(std::uint32_t id) {
+    return id == DirtyBuffers::kOverflow ? overflow_ : buffers_[id];
+  }
+
+  std::vector<Buffer> buffers_;  // grown by begin_round, one per machine
+  Buffer overflow_;              // driver-side writes, commits last
+  std::mutex overflow_mu_;
+  DirtyBuffers dirty_;
+};
+
+}  // namespace detail
+
 // Sharded hash table with AMPC visibility semantics. Reads see only data
 // committed at a previous round barrier; put() stages into the writing
-// machine's private buffer (lock-free — see the header comment). Commit
-// applies buffers in machine-id order, so same-key kOverwrite writes resolve
-// deterministically to the highest-machine-id writer.
+// machine's private buffer (lock-free — see the header comment).
 template <class K, class V, class Hash>
-class Table final : public detail::TableBase {
+class Table final : public detail::StagedTable<Table<K, V, Hash>, K, V> {
  public:
   Table(Runtime& rt, std::string name, Merge policy = Merge::kOverwrite,
         std::size_t shards = 64)
-      : rt_(rt), name_(std::move(name)), policy_(policy),
-        shards_vec_(std::max<std::size_t>(1, shards)) {
-    rt_.register_table(this);
-  }
-  ~Table() override { rt_.unregister_table(this); }
-
-  Table(const Table&) = delete;
-  Table& operator=(const Table&) = delete;
+      : detail::StagedTable<Table, K, V>(rt, std::move(name), policy),
+        shards_vec_(std::max<std::size_t>(1, shards)) {}
 
   // Adaptive read during a round (counts against the machine budget).
   // Committed storage is immutable while machines run, so reads take no lock.
   std::optional<V> get(const K& key) const {
-    if (auto* ctx = MachineContext::current()) {
-      rt_.fault_point_read(*ctx);
-      ctx->count_read(words_per_kv());
-    }
+    this->account_read(words_per_kv());
     const auto& data = shards_vec_[shard_of(key)].data;
     const auto it = data.find(key);
     if (it == data.end()) return std::nullopt;
@@ -521,43 +660,19 @@ class Table final : public detail::TableBase {
 
   V at(const K& key) const {
     auto v = get(key);
-    REPRO_CHECK_MSG(v.has_value(), "missing key in table " + name_);
+    REPRO_CHECK_MSG(v.has_value(), "missing key in table " + this->name_);
     return *v;
   }
 
   // Staged write; visible after the enclosing round's barrier.
   void put(const K& key, V value) {
-    const auto shard = static_cast<std::uint32_t>(shard_of(key));
-    if (auto* ctx = MachineContext::current()) {
-      rt_.fault_point_write(*ctx);
-      ctx->count_write(words_per_kv());
-      Buffer& buf = buffers_[ctx->machine_id()];
-      if (buf.entries.empty()) {
-        dirty_.mark(static_cast<std::uint32_t>(ctx->machine_id()));
-      }
-      buf.entries.push_back({shard, key, std::move(value)});
-      return;
-    }
-    // Driver-side write outside any machine: the dedicated overflow buffer,
-    // committed after every machine's buffer.
-    std::lock_guard<std::mutex> lock(overflow_mu_);
-    if (overflow_.entries.empty()) {
-      dirty_.mark(detail::DirtyBuffers::kOverflow);
-    }
-    overflow_.entries.push_back({shard, key, std::move(value)});
+    this->stage(static_cast<std::uint32_t>(shard_of(key)), key,
+                std::move(value), words_per_kv());
   }
 
   // Immediate insert for round-0 input distribution (counts no traffic;
   // driver-side only, never concurrent with a round).
-  void seed(const K& key, V value) {
-    auto& data = shards_vec_[shard_of(key)].data;
-    const auto it = data.find(key);
-    if (it == data.end()) {
-      data.emplace(key, std::move(value));
-    } else {
-      apply_merge(it->second, value, policy_);
-    }
-  }
+  void seed(K key, V value) { commit_entry(shard_of(key), key, value); }
 
   [[nodiscard]] std::uint64_t size_words() const override {
     return size() * words_per_kv();
@@ -583,115 +698,23 @@ class Table final : public detail::TableBase {
   // their capacity — only entries actually committed since the last reset
   // cost anything.
   void reset(std::string name, Merge policy, std::size_t shards) {
-    name_ = std::move(name);
-    policy_ = policy;
+    this->name_ = std::move(name);
+    this->policy_ = policy;
     shards = std::max<std::size_t>(1, shards);
     if (shards_vec_.size() != shards) shards_vec_.resize(shards);
     for (auto& s : shards_vec_) {
       if (!s.data.empty()) s.data.clear();
     }
-    finish_commit();  // drop any staged-but-uncommitted leftovers
-  }
-
-  // --- TableBase commit protocol -----------------------------------------
-
-  void begin_round(std::size_t num_buffers) override {
-    if (buffers_.size() < num_buffers) buffers_.resize(num_buffers);
-    dirty_.ensure_capacity(buffers_.size() + 1);  // + the overflow sentinel
-  }
-
-  std::uint64_t seal_staged() override {
-    const std::size_t nd = dirty_.seal();
-    std::uint64_t n = 0;
-    for (std::size_t d = 0; d < nd; ++d) {
-      n += buffer_at(dirty_.id_at(d)).entries.size();
-    }
-    return n;
-  }
-
-  [[nodiscard]] std::size_t num_dirty_buffers() const override {
-    return dirty_.count();
+    this->finish_commit();  // drop any staged-but-uncommitted leftovers
   }
 
   [[nodiscard]] std::size_t num_commit_shards() const override {
     return shards_vec_.size();
   }
 
-  void partition_staged(std::size_t dirty_index) override {
-    Buffer& buf = buffer_at(dirty_.id_at(dirty_index));
-    const std::size_t shards = shards_vec_.size();
-    buf.offsets.assign(shards + 1, 0);
-    for (const Staged& e : buf.entries) ++buf.offsets[e.shard + 1];
-    for (std::size_t s = 0; s < shards; ++s) {
-      buf.offsets[s + 1] += buf.offsets[s];
-    }
-    buf.parted.resize(buf.entries.size());
-    std::vector<std::uint32_t> cursor(buf.offsets.begin(),
-                                      buf.offsets.end() - 1);
-    for (Staged& e : buf.entries) {  // stable: program order within a shard
-      buf.parted[cursor[e.shard]++] = std::move(e);
-    }
-  }
-
-  void commit_shard(std::size_t shard) override {
-    auto& data = shards_vec_[shard].data;
-    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
-      Buffer& buf = buffer_at(dirty_.id_at(d));  // sealed machine-id order
-      const std::uint32_t begin = buf.offsets[shard];
-      const std::uint32_t end = buf.offsets[shard + 1];
-      for (std::uint32_t i = begin; i < end; ++i) {
-        Staged& e = buf.parted[i];
-        const auto it = data.find(e.key);
-        if (it == data.end()) {
-          data.emplace(std::move(e.key), std::move(e.value));
-        } else {
-          apply_merge(it->second, e.value, policy_);
-        }
-      }
-    }
-  }
-
-  void finish_commit() override {
-    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
-      Buffer& buf = buffer_at(dirty_.id_at(d));
-      buf.entries.clear();
-      buf.parted.clear();
-      buf.offsets.clear();
-    }
-    dirty_.clear();
-  }
-
-  void discard_machine_staged() override {
-    bool overflow_dirty = false;
-    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
-      const std::uint32_t id = dirty_.id_at(d);
-      if (id == detail::DirtyBuffers::kOverflow) {
-        overflow_dirty = true;  // staged outside the round; keep for retry
-        continue;
-      }
-      Buffer& buf = buffers_[id];
-      buf.entries.clear();
-      buf.parted.clear();
-      buf.offsets.clear();
-    }
-    dirty_.clear();
-    if (overflow_dirty) dirty_.mark(detail::DirtyBuffers::kOverflow);
-  }
-
  private:
-  struct Staged {
-    std::uint32_t shard;
-    K key;
-    V value;
-  };
-  // One per virtual machine, plus the dedicated overflow buffer. A buffer is
-  // only ever appended to by the thread running its machine, partitioned by
-  // one phase-A task, and read by phase-B tasks — never concurrently.
-  struct Buffer {
-    std::vector<Staged> entries;
-    std::vector<Staged> parted;            // entries grouped by shard
-    std::vector<std::uint32_t> offsets;    // per-shard ranges into parted
-  };
+  friend class detail::StagedTable<Table, K, V>;
+
   struct Shard {
     std::unordered_map<K, V, Hash> data;
   };
@@ -704,22 +727,17 @@ class Table final : public detail::TableBase {
     return Hash{}(key) % shards_vec_.size();
   }
 
-  // The overflow buffer is addressed by the dirty sentinel — a member of its
-  // own (not a vector slot) so begin_round growth can never repurpose it as
-  // a machine buffer, and the sentinel's max value keeps its commit-last
-  // position through the sealed ordering.
-  [[nodiscard]] Buffer& buffer_at(std::uint32_t id) {
-    return id == detail::DirtyBuffers::kOverflow ? overflow_ : buffers_[id];
+  void commit_entry(std::size_t shard, K& key, V& value) {
+    auto& data = shards_vec_[shard].data;
+    const auto it = data.find(key);
+    if (it == data.end()) {
+      data.emplace(std::move(key), std::move(value));
+    } else {
+      apply_merge(it->second, value, this->policy_);
+    }
   }
 
-  Runtime& rt_;
-  std::string name_;
-  Merge policy_;
   std::vector<Shard> shards_vec_;
-  std::vector<Buffer> buffers_;  // grown by begin_round, one per machine
-  Buffer overflow_;              // driver-side writes, commits last
-  std::mutex overflow_mu_;
-  detail::DirtyBuffers dirty_;
 };
 
 // Dense uint64-indexed table (a hash table whose keys are 0..size-1): same
@@ -727,47 +745,25 @@ class Table final : public detail::TableBase {
 // data (tree arrays, sparse tables) that dominates the algorithms. Commit
 // shards are contiguous index ranges, so phase B stays cache-friendly.
 template <class V>
-class DenseTable final : public detail::TableBase {
+class DenseTable final
+    : public detail::StagedTable<DenseTable<V>, std::uint64_t, V> {
  public:
   DenseTable(Runtime& rt, std::string name, std::size_t size, V init = V{},
              Merge policy = Merge::kOverwrite)
-      : rt_(rt), name_(std::move(name)), policy_(policy), data_(size, init),
-        shard_size_(std::max<std::uint64_t>(
-            1, ceil_div(std::max<std::uint64_t>(1, size), kMaxShards))) {
-    rt_.register_table(this);
-  }
-  ~DenseTable() override { rt_.unregister_table(this); }
-
-  DenseTable(const DenseTable&) = delete;
-  DenseTable& operator=(const DenseTable&) = delete;
+      : detail::StagedTable<DenseTable, std::uint64_t, V>(rt, std::move(name),
+                                                          policy),
+        data_(size, init), shard_size_(shard_size_for(size)) {}
 
   V get(std::uint64_t i) const {
     REPRO_DCHECK(i < data_.size());
-    if (auto* ctx = MachineContext::current()) {
-      rt_.fault_point_read(*ctx);
-      ctx->count_read(words_per_v());
-    }
+    this->account_read(words_per_v());
     return data_[i];
   }
 
   void put(std::uint64_t i, V value) {
     REPRO_DCHECK(i < data_.size());
-    const auto shard = static_cast<std::uint32_t>(i / shard_size_);
-    if (auto* ctx = MachineContext::current()) {
-      rt_.fault_point_write(*ctx);
-      ctx->count_write(words_per_v());
-      Buffer& buf = buffers_[ctx->machine_id()];
-      if (buf.entries.empty()) {
-        dirty_.mark(static_cast<std::uint32_t>(ctx->machine_id()));
-      }
-      buf.entries.push_back({shard, i, std::move(value)});
-      return;
-    }
-    std::lock_guard<std::mutex> lock(overflow_mu_);
-    if (overflow_.entries.empty()) {
-      dirty_.mark(detail::DirtyBuffers::kOverflow);
-    }
-    overflow_.entries.push_back({shard, i, std::move(value)});
+    this->stage(static_cast<std::uint32_t>(i / shard_size_), i,
+                std::move(value), words_per_v());
   }
 
   // Round-0 seeding / driver-side access (no traffic accounting).
@@ -782,10 +778,9 @@ class DenseTable final : public detail::TableBase {
   // table in the algorithm layer, and element-wise std::fill measured ~4×
   // slower than memset on the lease microbench.
   void reset(std::string name, std::size_t size, V init, Merge policy) {
-    name_ = std::move(name);
-    policy_ = policy;
-    shard_size_ = std::max<std::uint64_t>(
-        1, ceil_div(std::max<std::uint64_t>(1, size), kMaxShards));
+    this->name_ = std::move(name);
+    this->policy_ = policy;
+    shard_size_ = shard_size_for(size);
     bool filled = false;
     if constexpr (std::is_trivially_copyable_v<V> && sizeof(V) >= 1) {
       unsigned char bytes[sizeof(V)];
@@ -804,123 +799,37 @@ class DenseTable final : public detail::TableBase {
       }
     }
     if (!filled) data_.assign(size, init);
-    finish_commit();  // drop any staged-but-uncommitted leftovers
+    this->finish_commit();  // drop any staged-but-uncommitted leftovers
   }
 
   [[nodiscard]] std::uint64_t size_words() const override {
     return data_.size() * words_per_v();
   }
 
-  // --- TableBase commit protocol -----------------------------------------
-
-  void begin_round(std::size_t num_buffers) override {
-    if (buffers_.size() < num_buffers) buffers_.resize(num_buffers);
-    dirty_.ensure_capacity(buffers_.size() + 1);  // + the overflow sentinel
-  }
-
-  std::uint64_t seal_staged() override {
-    const std::size_t nd = dirty_.seal();
-    std::uint64_t n = 0;
-    for (std::size_t d = 0; d < nd; ++d) {
-      n += buffer_at(dirty_.id_at(d)).entries.size();
-    }
-    return n;
-  }
-
-  [[nodiscard]] std::size_t num_dirty_buffers() const override {
-    return dirty_.count();
-  }
-
   [[nodiscard]] std::size_t num_commit_shards() const override {
     return data_.empty() ? 1 : ceil_div(data_.size(), shard_size_);
   }
 
-  void partition_staged(std::size_t dirty_index) override {
-    Buffer& buf = buffer_at(dirty_.id_at(dirty_index));
-    const std::size_t shards = num_commit_shards();
-    buf.offsets.assign(shards + 1, 0);
-    for (const Staged& e : buf.entries) ++buf.offsets[e.shard + 1];
-    for (std::size_t s = 0; s < shards; ++s) {
-      buf.offsets[s + 1] += buf.offsets[s];
-    }
-    buf.parted.resize(buf.entries.size());
-    std::vector<std::uint32_t> cursor(buf.offsets.begin(),
-                                      buf.offsets.end() - 1);
-    for (Staged& e : buf.entries) {
-      buf.parted[cursor[e.shard]++] = std::move(e);
-    }
-  }
-
-  void commit_shard(std::size_t shard) override {
-    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
-      Buffer& buf = buffer_at(dirty_.id_at(d));  // sealed machine-id order
-      const std::uint32_t begin = buf.offsets[shard];
-      const std::uint32_t end = buf.offsets[shard + 1];
-      for (std::uint32_t i = begin; i < end; ++i) {
-        Staged& e = buf.parted[i];
-        apply_merge(data_[e.index], e.value, policy_);
-      }
-    }
-  }
-
-  void finish_commit() override {
-    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
-      Buffer& buf = buffer_at(dirty_.id_at(d));
-      buf.entries.clear();
-      buf.parted.clear();
-      buf.offsets.clear();
-    }
-    dirty_.clear();
-  }
-
-  void discard_machine_staged() override {
-    bool overflow_dirty = false;
-    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
-      const std::uint32_t id = dirty_.id_at(d);
-      if (id == detail::DirtyBuffers::kOverflow) {
-        overflow_dirty = true;  // staged outside the round; keep for retry
-        continue;
-      }
-      Buffer& buf = buffers_[id];
-      buf.entries.clear();
-      buf.parted.clear();
-      buf.offsets.clear();
-    }
-    dirty_.clear();
-    if (overflow_dirty) dirty_.mark(detail::DirtyBuffers::kOverflow);
-  }
-
  private:
-  static constexpr std::uint64_t kMaxShards = 64;
+  friend class detail::StagedTable<DenseTable, std::uint64_t, V>;
 
-  struct Staged {
-    std::uint32_t shard;
-    std::uint64_t index;
-    V value;
-  };
-  struct Buffer {
-    std::vector<Staged> entries;
-    std::vector<Staged> parted;
-    std::vector<std::uint32_t> offsets;
-  };
+  static constexpr std::uint64_t kMaxShards = 64;
 
   static constexpr std::uint64_t words_per_v() {
     return (sizeof(V) + 7) / 8;
   }
 
-  [[nodiscard]] Buffer& buffer_at(std::uint32_t id) {
-    return id == detail::DirtyBuffers::kOverflow ? overflow_ : buffers_[id];
+  static std::uint64_t shard_size_for(std::size_t size) {
+    return std::max<std::uint64_t>(
+        1, ceil_div(std::max<std::uint64_t>(1, size), kMaxShards));
   }
 
-  Runtime& rt_;
-  std::string name_;
-  Merge policy_;
+  void commit_entry(std::size_t /*shard*/, std::uint64_t& index, V& value) {
+    apply_merge(data_[index], value, this->policy_);
+  }
+
   std::vector<V> data_;
   std::uint64_t shard_size_;  // indices per commit shard
-  std::vector<Buffer> buffers_;
-  Buffer overflow_;
-  std::mutex overflow_mu_;
-  detail::DirtyBuffers dirty_;
 };
 
 // --- Lease factories (need the table definitions above) --------------------

@@ -19,7 +19,7 @@ MinCutResult brute_force_min_cut(const WGraph& g) {
     for (const auto& e : g.edges) {
       const bool su = (mask >> e.u) & 1ull;
       const bool sv = (mask >> e.v) & 1ull;
-      if (su != sv) cut += e.w;
+      if (su != sv) cut = sat_add(cut, e.w);
     }
     if (cut < best.weight) {
       best.weight = cut;

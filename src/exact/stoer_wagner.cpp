@@ -9,11 +9,11 @@ namespace ampccut {
 MinCutResult stoer_wagner_min_cut(const WGraph& g) {
   REPRO_CHECK_MSG(g.n >= 2, "min cut needs at least two vertices");
   const std::size_t n = g.n;
-  // Dense weight matrix; parallel edges merge by summation.
+  // Dense weight matrix; parallel edges merge by (saturating) summation.
   std::vector<std::vector<Weight>> w(n, std::vector<Weight>(n, 0));
   for (const auto& e : g.edges) {
-    w[e.u][e.v] += e.w;
-    w[e.v][e.u] += e.w;
+    w[e.u][e.v] = sat_add(w[e.u][e.v], e.w);
+    w[e.v][e.u] = sat_add(w[e.v][e.u], e.w);
   }
 
   // merged[v] = original vertices currently fused into supervertex v.
@@ -51,7 +51,7 @@ MinCutResult stoer_wagner_min_cut(const WGraph& g) {
       last = pick;
       last_conn = pick_conn;
       for (std::size_t v = 0; v < n; ++v) {
-        if (active[v] && !in_a[v]) conn[v] += w[pick][v];
+        if (active[v] && !in_a[v]) conn[v] = sat_add(conn[v], w[pick][v]);
       }
     }
     // Cut-of-the-phase: the last added supervertex vs the rest.
@@ -66,7 +66,7 @@ MinCutResult stoer_wagner_min_cut(const WGraph& g) {
     --active_count;
     for (std::size_t v = 0; v < n; ++v) {
       if (!active[v] || v == prev) continue;
-      w[prev][v] += w[last][v];
+      w[prev][v] = sat_add(w[prev][v], w[last][v]);
       w[v][prev] = w[prev][v];
     }
     merged[prev].insert(merged[prev].end(), merged[last].begin(),

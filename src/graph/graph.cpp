@@ -6,12 +6,6 @@
 
 namespace ampccut {
 
-Weight WGraph::total_weight() const {
-  Weight total = 0;
-  for (const auto& e : edges) total += e.w;
-  return total;
-}
-
 std::vector<Weight> WGraph::weighted_degrees() const {
   std::vector<Weight> deg(n, 0);
   for (const auto& e : edges) {

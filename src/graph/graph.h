@@ -35,9 +35,6 @@ struct WGraph {
     edges.push_back({u, v, w});
   }
 
-  // Total edge weight; useful as a trivial upper bound for cuts.
-  [[nodiscard]] Weight total_weight() const;
-
   // Sum of weights of edges incident to each vertex (the t=0 singleton cuts).
   [[nodiscard]] std::vector<Weight> weighted_degrees() const;
 

@@ -1,6 +1,5 @@
 #include "kernel/front.h"
 
-#include "exact/karger.h"
 #include "support/check.h"
 #include "support/threadpool.h"
 
@@ -24,15 +23,6 @@ MinCutResult stoer_wagner_min_cut_kernelized(const WGraph& g,
   if (!opt.enabled) return stoer_wagner_min_cut(g);
   return solve_kernelized(
       g, opt, [](const WGraph& k) { return stoer_wagner_min_cut(k); });
-}
-
-MinCutResult karger_stein_kernelized(const WGraph& g, std::uint32_t trials,
-                                     std::uint64_t seed,
-                                     const KernelOptions& opt) {
-  if (!opt.enabled) return karger_stein(g, trials, seed);
-  return solve_kernelized(g, opt, [trials, seed](const WGraph& k) {
-    return karger_stein(k, trials, seed);
-  });
 }
 
 }  // namespace ampccut::kernel

@@ -8,8 +8,6 @@
 // treatment through ApproxMinCutOptions::kernel rather than wrappers here.
 #pragma once
 
-#include <cstdint>
-
 #include "exact/stoer_wagner.h"
 #include "kernel/kernel.h"
 
@@ -17,12 +15,5 @@ namespace ampccut::kernel {
 
 MinCutResult stoer_wagner_min_cut_kernelized(
     const WGraph& g, const KernelOptions& opt = enabled_defaults());
-
-// Karger–Stein on the kernel; `trials` and `seed` as in karger_stein. Note
-// the kernel changes the contraction trajectory for a given seed — the
-// result is still an (exact-whp) min cut, just a possibly different witness.
-MinCutResult karger_stein_kernelized(
-    const WGraph& g, std::uint32_t trials, std::uint64_t seed,
-    const KernelOptions& opt = enabled_defaults());
 
 }  // namespace ampccut::kernel

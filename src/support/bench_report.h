@@ -28,7 +28,7 @@ inline constexpr const char* kBenchSchema = "ampc-cut-bench-v1";
 //
 // `group` routes the result into a trajectory file: "ampc" for anything
 // priced in model rounds / DHT words (AMPC and the MPC baseline), "exact"
-// for the sequential engines (Stoer-Wagner, Karger-Stein, oracle trackers).
+// for the sequential engines (Stoer-Wagner, oracle trackers, serving).
 // Model counters are zero for exact-group results.
 struct BenchResult {
   std::string name;

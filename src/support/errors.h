@@ -6,10 +6,10 @@
 //     std::logic_error (support/check.h) — they indicate a bug and are never
 //     caught by recovery code;
 //   * runtime conditions — machine failures, exhausted retries, budget
-//     escalation, malformed input — derive from Error below (a
+//     escalation, invalid queries — derive from Error below (a
 //     std::runtime_error), so callers can catch exactly the class they can
 //     handle: the round barrier retries MachineFailedError, the algorithm
-//     layer degrades on BudgetExceededError, tools report GraphIoError.
+//     layer degrades on BudgetExceededError.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +73,8 @@ class MachineFailedError : public Error {
 };
 
 // A round kept failing past RetryPolicy::max_attempts. The last attempt's
-// failure message rides along as the cause (which machine surfaced first is
-// schedule-dependent, so only label/round/attempts are load-bearing).
+// failure message rides along as the cause: the lowest-numbered failing
+// machine's, at every pool width (ThreadPool::parallel_for).
 class RetriesExhaustedError : public Error {
  public:
   RetriesExhaustedError(const std::string& label, std::uint64_t round,
@@ -113,14 +113,6 @@ class InvalidQueryError : public Error {
  private:
   std::uint64_t s_;
   std::uint64_t t_;
-};
-
-// Malformed or unreadable graph input (graph/io.h). Distinct from the
-// logic_error that Graph::add_edge raises for range/self-loop violations:
-// bad bytes on disk are a runtime condition, not a caller bug.
-class GraphIoError : public Error {
- public:
-  using Error::Error;
 };
 
 // Failure in the standalone IPC primitives (src/transport/): a malformed or

@@ -13,7 +13,8 @@ struct ThreadPool::Batch {
   std::atomic<std::size_t> done{0};
   std::mutex mu;
   std::condition_variable cv_done;
-  std::exception_ptr error;  // first exception, guarded by mu
+  std::exception_ptr error;  // lowest throwing index's, guarded by mu
+  std::size_t error_index = 0;
 
   // Runs chunks until the index space is exhausted. Returns the number of
   // iterations executed by this participant.
@@ -29,7 +30,10 @@ struct ThreadPool::Batch {
           fn(i);
         } catch (...) {
           std::lock_guard<std::mutex> lock(mu);
-          if (!error) error = std::current_exception();
+          if (!error || i < error_index) {
+            error = std::current_exception();
+            error_index = i;
+          }
         }
       }
       executed += end - begin;
@@ -115,9 +119,18 @@ void ThreadPool::parallel_for(std::size_t count,
   if (count == 0) return;
   if (threads_.size() <= 1 || count == 1) {
     // Inline: with at most one worker the caller would drain the whole batch
-    // anyway, so skip the posting/notify round trip. Same iterations, same
-    // thread-visible semantics, first exception propagates identically.
-    for (std::size_t i = 0; i < count; ++i) body(i);
+    // anyway, so skip the posting/notify round trip. Same contract as the
+    // batch path: every iteration runs, the lowest throwing index's
+    // exception (here the first one) propagates.
+    std::exception_ptr error;
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        body(i);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
     return;
   }
   auto batch = std::make_shared<Batch>();

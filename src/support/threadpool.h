@@ -46,10 +46,12 @@ class ThreadPool {
   std::size_t num_threads() const { return threads_.size(); }
 
   // Runs body(i) for i in [0, count) across the pool and blocks until all
-  // iterations complete. Exceptions from tasks are rethrown on the caller
-  // thread (first one wins). Safe to call with count == 0, and safe to call
-  // from inside a pool task or another parallel_for body: the caller always
-  // participates and drains the whole batch itself if no worker is free.
+  // iterations complete. Every iteration runs even when some throw; the
+  // exception of the lowest throwing index is rethrown on the caller thread,
+  // so which failure surfaces never depends on the pool width or schedule.
+  // Safe to call with count == 0, and safe to call from inside a pool task
+  // or another parallel_for body: the caller always participates and drains
+  // the whole batch itself if no worker is free.
   // With a single-threaded pool the batch runs inline (no posting overhead).
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
 

@@ -14,7 +14,6 @@
 
 #include "ampc_algo/mincut_ampc.h"
 #include "ampc_algo/singleton_ampc.h"
-#include "exact/karger.h"
 #include "flow/gomory_hu.h"
 #include "graph/generators.h"
 #include "kernel/kernel.h"
@@ -25,31 +24,6 @@
 
 namespace ampccut {
 namespace {
-
-TEST(Determinism, KargerSameSeedSameResult) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    WGraph g = gen_erdos_renyi(24, 0.25, seed + 7);
-    randomize_weights(g, 9, seed + 50);
-    const auto a = karger_single_run(g, seed);
-    const auto b = karger_single_run(g, seed);
-    EXPECT_EQ(a.weight, b.weight) << "seed " << seed;
-    EXPECT_EQ(a.side, b.side) << "seed " << seed;
-    const auto ra = karger_repeated(g, 20, seed);
-    const auto rb = karger_repeated(g, 20, seed);
-    EXPECT_EQ(ra.weight, rb.weight) << "seed " << seed;
-    EXPECT_EQ(ra.side, rb.side) << "seed " << seed;
-  }
-}
-
-TEST(Determinism, KargerSteinSameSeedSameResult) {
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const WGraph g = gen_random_connected(30, 80, seed + 3);
-    const auto a = karger_stein(g, 4, seed);
-    const auto b = karger_stein(g, 4, seed);
-    EXPECT_EQ(a.weight, b.weight) << "seed " << seed;
-    EXPECT_EQ(a.side, b.side) << "seed " << seed;
-  }
-}
 
 TEST(Determinism, ContractionOrderSameSeedSameTimes) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
@@ -303,12 +277,12 @@ TEST(Determinism, AmpcMinCutBitIdenticalAcrossTransports) {
 
 TEST(Determinism, DifferentSeedsEventuallyDiffer) {
   // Sanity check that the seed actually feeds through: across many seeds the
-  // Karger contraction must produce at least two distinct cut sides.
+  // contraction order the recursion draws must take at least two values.
   const WGraph g = gen_erdos_renyi(24, 0.3, 5);
   bool saw_difference = false;
-  const auto first = karger_single_run(g, 0);
+  const ContractionOrder first = make_contraction_order(g, 0);
   for (std::uint64_t seed = 1; seed < 16 && !saw_difference; ++seed) {
-    saw_difference = karger_single_run(g, seed).side != first.side;
+    saw_difference = make_contraction_order(g, seed).time != first.time;
   }
   EXPECT_TRUE(saw_difference);
 }

@@ -254,6 +254,20 @@ TEST(FaultInjection, EachFailureKindRecoversBitIdentically) {
     EXPECT_EQ(w1.machine_failures, w.machine_failures);
     EXPECT_EQ(w1.faults_injected, w.faults_injected);
   }
+  // Two crashes in one round: every machine still runs at every pool width,
+  // so both failures are counted at one thread as at four.
+  FaultPlan twice;
+  twice.scheduled = {{0, 3, FaultKind::kMachineCrash},
+                     {0, 6, FaultKind::kMachineCrash}};
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(width);
+    ThreadPool threads(width);
+    const WorkloadMetrics w = run_workload(twice, RetryPolicy{}, threads);
+    expect_same_model_metrics(base, w);
+    EXPECT_EQ(w.rounds_retried, 1u);
+    EXPECT_EQ(w.machine_failures, 2u);
+    EXPECT_EQ(w.faults_injected, 2u);
+  }
   // A crash in the tracker's interval round, whose machines each assign
   // their output to a per-machine slot: the replay must overwrite those
   // slots, not add to them, at either thread count. Machine 7 crashes after

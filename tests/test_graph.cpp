@@ -1,11 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "graph/graph.h"
-#include "graph/io.h"
 #include "graph/union_find.h"
-#include "support/errors.h"
 
 namespace ampccut {
 namespace {
@@ -22,11 +18,11 @@ WGraph triangle() {
 TEST(Graph, BasicAccounting) {
   const WGraph g = triangle();
   EXPECT_EQ(g.m(), 3u);
-  EXPECT_EQ(g.total_weight(), 10u);
   const auto deg = g.weighted_degrees();
   EXPECT_EQ(deg[0], 7u);
   EXPECT_EQ(deg[1], 5u);
   EXPECT_EQ(deg[2], 8u);
+  EXPECT_EQ(deg[0] + deg[1] + deg[2], 2 * 10u);  // each edge counted twice
 }
 
 TEST(Graph, RejectsSelfLoopAndRange) {
@@ -91,107 +87,6 @@ TEST(UnionFind, MergesAndCounts) {
   EXPECT_TRUE(uf.same(1, 2));
   EXPECT_FALSE(uf.same(1, 4));
   EXPECT_EQ(uf.component_size(uf.find(0)), 4u);
-}
-
-TEST(GraphIo, RoundTrips) {
-  const WGraph g = triangle();
-  std::stringstream ss;
-  write_edge_list(ss, g);
-  const WGraph h = read_edge_list(ss);
-  EXPECT_EQ(h.n, g.n);
-  ASSERT_EQ(h.edges.size(), g.edges.size());
-  for (std::size_t i = 0; i < g.edges.size(); ++i) {
-    EXPECT_EQ(h.edges[i], g.edges[i]);
-  }
-}
-
-TEST(GraphIo, DefaultWeightAndComments) {
-  std::stringstream ss("# a comment\n3 2\n0 1\n1 2 7\n");
-  const WGraph g = read_edge_list(ss);
-  EXPECT_EQ(g.n, 3u);
-  EXPECT_EQ(g.edges[0].w, 1u);
-  EXPECT_EQ(g.edges[1].w, 7u);
-}
-
-TEST(GraphIo, RejectsMalformed) {
-  std::stringstream missing_header("0 1 2\n");
-  EXPECT_THROW(read_edge_list(missing_header), GraphIoError);
-  std::stringstream wrong_count("3 5\n0 1\n");
-  EXPECT_THROW(read_edge_list(wrong_count), GraphIoError);
-}
-
-// Every malformed-input failure path must be loud — the typed GraphIoError
-// (support/errors.h) — never a silently wrapped or truncated value.
-TEST(GraphIo, RejectsTruncatedHeader) {
-  std::stringstream one_token("3\n");
-  EXPECT_THROW(read_edge_list(one_token), GraphIoError);
-  std::stringstream empty_input("");
-  EXPECT_THROW(read_edge_list(empty_input), GraphIoError);
-  std::stringstream comments_only("# nothing\n# here\n");
-  EXPECT_THROW(read_edge_list(comments_only), GraphIoError);
-}
-
-TEST(GraphIo, RejectsNonNumericTokens) {
-  std::stringstream bad_n("x 1\n0 1\n");
-  EXPECT_THROW(read_edge_list(bad_n), GraphIoError);
-  std::stringstream bad_endpoint("3 1\n0 one\n");
-  EXPECT_THROW(read_edge_list(bad_endpoint), GraphIoError);
-  std::stringstream bad_weight("3 1\n0 1 heavy\n");
-  EXPECT_THROW(read_edge_list(bad_weight), GraphIoError);
-  std::stringstream hex_weight("3 1\n0 1 0x10\n");
-  EXPECT_THROW(read_edge_list(hex_weight), GraphIoError);
-}
-
-TEST(GraphIo, RejectsNegativeNumbers) {
-  // operator>> into an unsigned would silently wrap these; the token parser
-  // must refuse the sign outright.
-  std::stringstream neg_n("-3 1\n0 1\n");
-  EXPECT_THROW(read_edge_list(neg_n), GraphIoError);
-  std::stringstream neg_endpoint("3 1\n0 -1\n");
-  EXPECT_THROW(read_edge_list(neg_endpoint), GraphIoError);
-  std::stringstream neg_weight("3 1\n0 1 -5\n");
-  EXPECT_THROW(read_edge_list(neg_weight), GraphIoError);
-}
-
-TEST(GraphIo, RejectsOverflow) {
-  // 2^32 does not fit VertexId; 2^64 - 1 is the kInfiniteWeight sentinel;
-  // 40 digits overflow any 64-bit accumulator.
-  std::stringstream big_n("4294967296 0\n");
-  EXPECT_THROW(read_edge_list(big_n), GraphIoError);
-  std::stringstream big_m("3 18446744073709551615\n");
-  EXPECT_THROW(read_edge_list(big_m), GraphIoError);
-  std::stringstream sentinel_weight("3 1\n0 1 18446744073709551615\n");
-  EXPECT_THROW(read_edge_list(sentinel_weight), GraphIoError);
-  std::stringstream huge("3 1\n0 1 9999999999999999999999999999999999999999\n");
-  EXPECT_THROW(read_edge_list(huge), GraphIoError);
-}
-
-TEST(GraphIo, RejectsSelfLoopsAndRangeViolations) {
-  std::stringstream self_loop("3 1\n1 1\n");
-  EXPECT_THROW(read_edge_list(self_loop), std::logic_error);
-  std::stringstream out_of_range("3 1\n0 3\n");
-  EXPECT_THROW(read_edge_list(out_of_range), std::logic_error);
-}
-
-TEST(GraphIo, RejectsTrailingGarbage) {
-  std::stringstream extra_header_token("3 1 9\n0 1\n");
-  EXPECT_THROW(read_edge_list(extra_header_token), GraphIoError);
-  std::stringstream extra_edge_token("3 1\n0 1 7 8\n");
-  EXPECT_THROW(read_edge_list(extra_edge_token), GraphIoError);
-  std::stringstream extra_edge_line("3 1\n0 1\n1 2\n");
-  EXPECT_THROW(read_edge_list(extra_edge_line), GraphIoError);
-}
-
-TEST(GraphIo, AcceptsBoundaryValuesAndCrLf) {
-  // Maximum representable weight below the sentinel, CRLF line endings, and
-  // interior comment lines are all fine.
-  std::stringstream ok("3 2\r\n# mid comment\r\n0 1 18446744073709551614\r\n"
-                       "1 2\r\n");
-  const WGraph g = read_edge_list(ok);
-  EXPECT_EQ(g.n, 3u);
-  ASSERT_EQ(g.edges.size(), 2u);
-  EXPECT_EQ(g.edges[0].w, kInfiniteWeight - 1);
-  EXPECT_EQ(g.edges[1].w, 1u);
 }
 
 }  // namespace

@@ -311,17 +311,6 @@ TEST(KernelFront, StoerWagnerKernelizedMatchesPlain) {
   }
 }
 
-TEST(KernelFront, KargerSteinKernelizedFindsExactCut) {
-  for (std::uint64_t i = 0; i < 21; ++i) {
-    const WGraph g = zoo_case(i);
-    const Weight truth = stoer_wagner_min_cut(g).weight;
-    // Seed-deterministic: a passing configuration stays passing.
-    const MinCutResult r = kernel::karger_stein_kernelized(g, 16, i + 1);
-    EXPECT_EQ(r.weight, truth) << "case " << i;
-    EXPECT_EQ(cut_weight(g, r.side), r.weight) << "case " << i;
-  }
-}
-
 TEST(KernelDeterminism, BitIdenticalAcrossThreadCounts) {
   // Two shapes: a sparse graph that reduces heavily (peel cascades + rebuild
   // paths) and a dense one that barely reduces (the certificate scan); both

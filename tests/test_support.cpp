@@ -114,17 +114,28 @@ TEST(ThreadPool, HandlesEmptyAndSingle) {
 }
 
 TEST(ThreadPool, PropagatesException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(
-                   100,
-                   [&](std::size_t i) {
-                     if (i == 37) throw std::runtime_error("task failure");
-                   }),
-               std::runtime_error);
-  // Pool stays usable after an exception.
-  std::atomic<int> n{0};
-  pool.parallel_for(50, [&](std::size_t) { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 50);
+  // Every iteration runs and the lowest throwing index's exception surfaces,
+  // on the inline (one-thread) path and the batch path alike.
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(width);
+    ThreadPool pool(width);
+    std::atomic<int> ran{0};
+    try {
+      pool.parallel_for(100, [&](std::size_t i) {
+        ran.fetch_add(1);
+        if (i == 37) throw std::runtime_error("iteration 37");
+        if (i == 5) throw std::runtime_error("iteration 5");
+      });
+      ADD_FAILURE() << "parallel_for swallowed the exceptions";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "iteration 5");
+    }
+    EXPECT_EQ(ran.load(), 100);
+    // Pool stays usable after an exception.
+    std::atomic<int> n{0};
+    pool.parallel_for(50, [&](std::size_t) { n.fetch_add(1); });
+    EXPECT_EQ(n.load(), 50);
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossManyBatches) {
