@@ -866,8 +866,8 @@ TableLease<Table<K, V, Hash>> Runtime::lease_table(std::string name,
 }
 
 // Reuses Runtime objects — and their table pools — across the subproblems of
-// a larger solve (one min-cut tracker run per component per k-cut iteration,
-// in the source paper's terms). acquire() hands out a reset runtime from the
+// a larger solve (one min-cut tracker run per k-cut component, in the source
+// paper's terms). acquire() hands out a reset runtime from the
 // free list or constructs one; concurrent acquirers always get distinct
 // runtimes, so the recursion drivers' parallel fan-out stays data-race-free
 // while still amortizing table storage across calls on the same slot.

@@ -14,25 +14,16 @@ AmpcKCutReport ampc_apx_split_k_cut(const WGraph& g, std::uint32_t k,
                                     const AmpcMinCutOptions& opt) {
   AmpcKCutReport report;
   // Per-iteration round maxima: the greedy loop calls the splitter once per
-  // component per iteration; components are model-parallel (and, with a
-  // pool, actually parallel — the max/sum accumulation below is commutative,
-  // so the report is thread-count independent). on_iteration runs on the
-  // driving thread between fan-outs and flushes the parallel round-group.
+  // component that iteration is the first to see; those components are
+  // model-parallel (and, with a pool, actually parallel — the max/sum
+  // accumulation below is commutative, so the report is thread-count
+  // independent). on_iteration runs on the driving thread after every pass,
+  // and the loop returns only at the start of a pass, so its flush is the
+  // last one needed. Concurrent component tasks write the counters, so the
+  // flush reads them under `mu`.
   std::mutex mu;
   std::uint64_t iter_measured = 0;
   std::uint64_t iter_charged = 0;
-  std::uint32_t calls_this_iter = 0;
-
-  // Caller must hold `mu`: the iteration counters are written by concurrent
-  // component tasks, so even the post-join "anything left?" check reads them
-  // under the lock (the lone unlocked read here was the repo's one TSan gap).
-  auto flush_iteration_locked = [&]() {
-    report.measured_rounds += iter_measured;
-    report.charged_rounds += iter_charged + 1;  // +1: component count [4]
-    iter_measured = 0;
-    iter_charged = 0;
-    calls_this_iter = 0;
-  };
 
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = resolve_recursion_pool(opt.recursion.threads, owned);
@@ -59,19 +50,17 @@ AmpcKCutReport ampc_apx_split_k_cut(const WGraph& g, std::uint32_t k,
           report.machine_failures += sub.machine_failures;
           report.rounds_retried += sub.rounds_retried;
           report.budget_degradations += sub.budget_degradations;
-          ++calls_this_iter;
         }
         return MinCutResult{sub.weight, sub.side};
       },
       [&](std::uint32_t) {
         std::lock_guard<std::mutex> lock(mu);
-        flush_iteration_locked();
+        report.measured_rounds += iter_measured;
+        report.charged_rounds += iter_charged + 1;  // +1: component count [4]
+        iter_measured = 0;
+        iter_charged = 0;
       },
       pool);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (calls_this_iter > 0) flush_iteration_locked();
-  }
   report.result = r;
   return report;
 }

@@ -1,17 +1,19 @@
 // APX-SPLIT in AMPC (Algorithm 4 / Theorem 2): O(k log log n) rounds.
 //
-// Each greedy iteration recomputes a (2+eps)-approximate min cut inside every
-// current component — in the model these run in parallel, so an iteration
-// costs the MAXIMUM model rounds over its components plus O(1) rounds for
-// counting components (cited from Behnezhad et al. [4], as the paper does in
-// the proof of Theorem 2).
+// Each greedy iteration needs a (2+eps)-approximate min cut inside every
+// current component. A component's cut stays valid until it is split
+// (mincut/kcut.h), so an iteration solves only its *newly created*
+// components — in the model these run in parallel, so an iteration costs
+// the MAXIMUM model rounds over its newly solved components plus O(1)
+// rounds for counting components (cited from Behnezhad et al. [4], as the
+// paper does in the proof of Theorem 2).
 //
 // Cost: k-1 iterations of the Theorem 1 min-cut report (mincut_ampc.h:
 // measured tracker rounds + charged MSF/sort/RMQ rounds), so
 // O(k log log n) model rounds total. DHT traffic per iteration is the sum
-// of the min-cut traffic over that iteration's components — components
-// partition the vertex set, so an iteration's total stays
-// O((n + m) log n) words and shrinks as cuts split the graph.
+// of the min-cut traffic over that iteration's newly solved components —
+// they are disjoint, so an iteration's total stays O((n + m) log n) words
+// and shrinks as cuts split the graph.
 #pragma once
 
 #include <cstdint>

@@ -34,7 +34,7 @@ Weight k_cut_weight(const WGraph& g, const std::vector<std::uint32_t>& part) {
   REPRO_CHECK(part.size() == g.n);
   Weight total = 0;
   for (const auto& e : g.edges)
-    if (part[e.u] != part[e.v]) total += e.w;
+    if (part[e.u] != part[e.v]) total = sat_add(total, e.w);
   return total;
 }
 

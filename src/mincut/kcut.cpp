@@ -21,7 +21,6 @@ struct Component {
   WGraph sub;
   std::vector<VertexId> to_orig;      // sub vertex -> original vertex
   std::vector<EdgeId> edge_to_orig;   // sub edge -> original edge id
-  MinCutResult cut;                   // best split (filled for sub.n >= 2)
 };
 
 }  // namespace
@@ -32,6 +31,11 @@ ApproxKCutResult apx_split_k_cut(
   REPRO_CHECK(k >= 1 && k <= g.n);
   std::vector<std::uint8_t> removed(g.edges.size(), 0);
   std::uint64_t splitter_calls = 0;  // across all passes, for call_seq
+  // Cut cache indexed by a component's smallest original vertex; the entry
+  // is valid while solved_n matches its vertex count (reuse invariant,
+  // kcut.h).
+  std::vector<VertexId> solved_n(g.n, 0);
+  std::vector<MinCutResult> solved_cut(g.n);
 
   ApproxKCutResult out;
   for (;;) {
@@ -60,7 +64,7 @@ ApproxKCutResult apx_split_k_cut(
       out.weight = 0;
       for (EdgeId e = 0; e < g.edges.size(); ++e) {
         if (out.part[g.edges[e].u] != out.part[g.edges[e].v]) {
-          out.weight += g.edges[e].w;
+          out.weight = sat_add(out.weight, g.edges[e].w);
         }
       }
       return out;
@@ -88,57 +92,65 @@ ApproxKCutResult apx_split_k_cut(
       c.edge_to_orig.push_back(e);
     }
 
-    // Singleton components cannot split; everything else is solved this pass
-    // (model-parallel across components), with call_seq assigned in
-    // component order so seed derivation is schedule-independent.
-    // Concurrency audit (kcut_ampc.cpp's iteration-counter fix): tasks here
-    // write only their own comps[...].cut slot; splitter_calls is captured
-    // by value and advanced on the driver after the join, and every read of
-    // the slots happens after group.wait() — no shared counters, nothing to
-    // lock. The ParallelKCut suites run under TSan in CI to keep it that way.
+    // Singleton components cannot split. Of the rest, only those this pass
+    // is the first to see go to the splitter (model-parallel across
+    // components), with call_seq assigned in component order so seed
+    // derivation is schedule-independent.
+    // Concurrency audit (kcut_ampc.cpp's iteration-counter fix): each task
+    // writes only the solved_n and solved_cut slots of its own component's
+    // min vertex; splitter_calls is captured by value and advanced on the
+    // driver after the join, and every read of the slots happens before the
+    // fan-out or after group.wait() — no shared counters, nothing to lock.
+    // The ParallelKCut suites run under TSan in CI to keep it that way.
     std::vector<std::size_t> splittable;
+    std::vector<std::size_t> fresh;
     for (std::size_t ci = 0; ci < comps.size(); ++ci) {
-      if (comps[ci].sub.n >= 2) splittable.push_back(ci);
+      const Component& c = comps[ci];
+      if (c.sub.n < 2) continue;
+      splittable.push_back(ci);
+      if (solved_n[c.to_orig[0]] != c.sub.n) fresh.push_back(ci);
     }
     REPRO_CHECK_MSG(!splittable.empty(),
                     "no splittable component but fewer than k parts "
                     "(k > number of vertices?)");
-    if (pool != nullptr && splittable.size() > 1) {
+    auto solve = [&comps, &splitter, &fresh, &solved_n, &solved_cut,
+                  splitter_calls](std::size_t fi) {
+      const Component& c = comps[fresh[fi]];
+      solved_cut[c.to_orig[0]] = splitter(c.sub, splitter_calls + fi + 1);
+      solved_n[c.to_orig[0]] = c.sub.n;
+    };
+    if (pool != nullptr && fresh.size() > 1) {
       ThreadPool::TaskGroup group(*pool);
-      for (std::size_t si = 0; si < splittable.size(); ++si) {
-        group.run([&comps, &splitter, &splittable, splitter_calls, si] {
-          Component& c = comps[splittable[si]];
-          c.cut = splitter(c.sub, splitter_calls + si + 1);
-        });
+      for (std::size_t fi = 0; fi < fresh.size(); ++fi) {
+        group.run([&solve, fi] { solve(fi); });
       }
       group.wait();
     } else {
-      for (std::size_t si = 0; si < splittable.size(); ++si) {
-        Component& c = comps[splittable[si]];
-        c.cut = splitter(c.sub, splitter_calls + si + 1);
-      }
+      for (std::size_t fi = 0; fi < fresh.size(); ++fi) solve(fi);
     }
-    splitter_calls += splittable.size();
+    splitter_calls += fresh.size();
 
-    // Pick the globally cheapest cut, first-minimum-wins in component order.
+    // Pick the globally cheapest cut over every splittable component,
+    // first-minimum-wins in component order.
     std::size_t best_comp = comps.size();
     Weight best_weight = kInfiniteWeight;
     for (const std::size_t ci : splittable) {
-      if (comps[ci].cut.weight < best_weight) {
-        best_weight = comps[ci].cut.weight;
+      const Weight w = solved_cut[comps[ci].to_orig[0]].weight;
+      if (w < best_weight) {
+        best_weight = w;
         best_comp = ci;
       }
     }
 
-    // Remove the winning cut's crossing edges (add them to D).
+    // Remove the winning cut's crossing edges (add them to D). The winner's
+    // cache entry goes stale by itself: its parts are smaller.
     REPRO_CHECK_MSG(best_comp != comps.size(),
                     "no splitter produced a finite-weight cut");
     const Component& win = comps[best_comp];
+    const std::vector<std::uint8_t>& side = solved_cut[win.to_orig[0]].side;
     for (std::size_t j = 0; j < win.sub.edges.size(); ++j) {
       const auto& se = win.sub.edges[j];
-      if (win.cut.side[se.u] != win.cut.side[se.v]) {
-        removed[win.edge_to_orig[j]] = 1;
-      }
+      if (side[se.u] != side[se.v]) removed[win.edge_to_orig[j]] = 1;
     }
     ++out.iterations;
     if (on_iteration) on_iteration(out.iterations);

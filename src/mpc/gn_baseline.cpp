@@ -78,16 +78,10 @@ MpcMinCutReport mpc_gn_min_cut(const WGraph& g, const MpcMinCutOptions& opt) {
 MpcKCutReport mpc_gn_k_cut(const WGraph& g, std::uint32_t k,
                            const MpcMinCutOptions& opt) {
   MpcKCutReport report;
+  // Per-pass round maxima, flushed by on_iteration after every pass (see
+  // kcut_ampc.cpp).
   std::mutex mu;
   std::uint64_t iter_rounds = 0;
-  std::uint32_t calls_this_iter = 0;
-  // Caller must hold `mu` — like kcut_ampc.cpp, even the post-join
-  // "anything left?" check reads the counters under the lock.
-  auto flush_locked = [&]() {
-    report.rounds += iter_rounds + 1;  // +1: component counting
-    iter_rounds = 0;
-    calls_this_iter = 0;
-  };
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = resolve_recursion_pool(opt.recursion.threads, owned);
   MpcMinCutOptions base = opt;
@@ -101,19 +95,15 @@ MpcKCutReport mpc_gn_k_cut(const WGraph& g, std::uint32_t k,
         {
           std::lock_guard<std::mutex> lock(mu);
           iter_rounds = std::max(iter_rounds, sub.rounds);
-          ++calls_this_iter;
         }
         return MinCutResult{sub.weight, sub.side};
       },
       [&](std::uint32_t) {
         std::lock_guard<std::mutex> lock(mu);
-        flush_locked();
+        report.rounds += iter_rounds + 1;  // +1: component counting
+        iter_rounds = 0;
       },
       pool);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (calls_this_iter > 0) flush_locked();
-  }
   return report;
 }
 

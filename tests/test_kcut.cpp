@@ -114,6 +114,23 @@ TEST(ApxSplit, MatchesGomoryHuBaselineShape) {
   }
 }
 
+TEST(ApxSplit, SaturatesInfiniteWeights) {
+  // An infinite edge beside a parallel unit edge must saturate, not wrap to
+  // 0: the only finite 2-cut isolates vertex 2 at weight 5.
+  WGraph g;
+  g.n = 3;
+  g.add_edge(0, 1, kInfiniteWeight);
+  g.add_edge(0, 1, 1);
+  g.add_edge(1, 2, 5);
+  EXPECT_EQ(brute_force_min_k_cut(g, 2).weight, 5u);
+  const auto r = apx_split_k_cut_exact(g, 2);
+  check_partition(g, r, 2);
+  EXPECT_EQ(r.weight, 5u);
+  // Every 3-cut crosses the infinite edge: k_cut_weight saturates at it.
+  std::vector<std::uint32_t> all_apart{0, 1, 2};
+  EXPECT_EQ(k_cut_weight(g, all_apart), kInfiniteWeight);
+}
+
 TEST(ApxSplit, WeightedCommunities) {
   WGraph g = gen_communities(40, 4, 0.7, 1, 9);
   // Make intra-community edges heavy so bridges are clearly optimal.

@@ -13,10 +13,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "ampc_algo/kcut_ampc.h"
 #include "ampc_algo/mincut_ampc.h"
+#include "exact/brute_force.h"
+#include "exact/stoer_wagner.h"
 #include "graph/generators.h"
 #include "mincut/kcut.h"
 #include "mincut/mincut_recursive.h"
@@ -179,6 +186,81 @@ TEST(ParallelKCut, AmpcWrapperMatchesSequential) {
     EXPECT_EQ(got.measured_rounds, ref.measured_rounds);
     EXPECT_EQ(got.charged_rounds, ref.charged_rounds);
   }
+}
+
+// A cycle of `cliques` triangles joined by unit ring edges. Clique i's edges
+// weigh 100 + i, so a component's local vertex 0 (its smallest original
+// vertex, always the first vertex of a clique) names its clique by weight.
+WGraph clique_cycle(VertexId cliques) {
+  WGraph g;
+  g.n = 3 * cliques;
+  for (VertexId c = 0; c < cliques; ++c) {
+    const VertexId b = 3 * c;
+    g.add_edge(b, b + 1, 100 + c);
+    g.add_edge(b + 1, b + 2, 100 + c);
+    g.add_edge(b, b + 2, 100 + c);
+    g.add_edge(b + 2, 3 * ((c + 1) % cliques), 1);
+  }
+  return g;
+}
+
+TEST(ParallelKCut, EachComponentSolvedOnce) {
+  constexpr VertexId kCliques = 8;
+  constexpr std::uint32_t k = 8;
+  const WGraph g = clique_cycle(kCliques);
+  // call_seq -> (min vertex, vertex count) of the component it solved.
+  using Calls = std::map<std::uint64_t, std::pair<VertexId, VertexId>>;
+  auto run = [&](std::size_t width, Calls& calls) {
+    std::mutex mu;
+    ThreadPool pool(width);
+    return apx_split_k_cut(
+        g, k,
+        [&](const WGraph& sub, std::uint64_t call_seq) {
+          VertexId min_vertex = g.n;
+          for (const auto& e : sub.edges) {
+            if ((e.u == 0 || e.v == 0) && e.w >= 100) {
+              min_vertex = 3 * static_cast<VertexId>(e.w - 100);
+            }
+          }
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            EXPECT_TRUE(calls.emplace(call_seq, std::make_pair(min_vertex, sub.n))
+                            .second)
+                << "call_seq " << call_seq << " reused";
+          }
+          return stoer_wagner_min_cut(sub);
+        },
+        nullptr, &pool);
+  };
+
+  Calls ref_calls;
+  const ApproxKCutResult ref = run(1, ref_calls);
+  // Certified optimum: any 8-part partition either splits a clique (cost
+  // >= 200) or separates all 8 cliques along the 8 unit ring edges.
+  EXPECT_EQ(ref.weight, 8u);
+  EXPECT_EQ(k_cut_weight(g, ref.part), ref.weight);
+  EXPECT_EQ(ref.num_parts, k);
+  EXPECT_EQ(ref.iterations, k - 1);
+  // Pass 1 solves the whole graph; every later pass solves only the two
+  // halves of the previous winner (none of them is a single vertex here).
+  ASSERT_EQ(ref_calls.size(), 1 + 2 * (k - 2));
+  std::set<std::pair<VertexId, VertexId>> seen;
+  std::uint64_t expected_seq = 1;
+  for (const auto& [seq, comp] : ref_calls) {
+    EXPECT_EQ(seq, expected_seq++);
+    EXPECT_LT(comp.first, g.n);
+    EXPECT_TRUE(seen.insert(comp).second)
+        << "component (" << comp.first << ", " << comp.second
+        << ") solved twice";
+  }
+
+  Calls par_calls;
+  const ApproxKCutResult par = run(4, par_calls);
+  EXPECT_EQ(par.weight, ref.weight);
+  EXPECT_EQ(par.part, ref.part);
+  EXPECT_EQ(par.num_parts, ref.num_parts);
+  EXPECT_EQ(par.iterations, ref.iterations);
+  EXPECT_EQ(par_calls, ref_calls);
 }
 
 // --- TaskGroup primitive -----------------------------------------------
