@@ -55,6 +55,8 @@ int main(int argc, char** argv) {
     rm.measured_rounds = mpc_r.rounds;
     rm.model_rounds = mpc_r.rounds;
     rm.extra["weight"] = static_cast<double>(mpc_r.result.weight);
+    rm.extra["splitter_calls"] =
+        static_cast<double>(mpc_r.result.splitter_calls);
     rep.add(std::move(rm));
 
     BenchResult ra;
@@ -67,6 +69,8 @@ int main(int argc, char** argv) {
     ra.charged_rounds = ampc_r.charged_rounds;
     ra.model_rounds = ampc_r.model_rounds();
     ra.extra["weight"] = static_cast<double>(ampc_r.result.weight);
+    ra.extra["splitter_calls"] =
+        static_cast<double>(ampc_r.result.splitter_calls);
     rep.add(std::move(ra));
   }
   t.print();

@@ -10,9 +10,10 @@ namespace ampccut::ampc {
 thread_local MachineContext* MachineContext::current_ = nullptr;
 
 namespace {
-// Below this many staged entries the two-phase commit runs inline on the
-// driver thread: fan-out overhead would dominate, and the result is
-// identical either way (both paths apply shards in machine-id order).
+// Below this many staged entries the commit is one serial walk on the
+// driver thread (TableBase::commit_sealed): fan-out and the shard partition
+// would dominate, and the result is identical either way (every key sees its
+// writes in machine-id order on both paths).
 constexpr std::uint64_t kParallelCommitThreshold = 4096;
 }  // namespace
 

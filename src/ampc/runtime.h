@@ -19,10 +19,11 @@
 // the calling machine's private staging buffer — no locks, no sharing. At
 // the barrier the runtime commits in two parallel phases: (A) each buffer is
 // partitioned by destination shard, (B) each shard applies its slice of
-// every buffer in machine-id order. Machine order makes committed contents
-// (and hence kOverwrite races) independent of the thread schedule, and the
-// frozen-read invariant holds because committed storage is only ever touched
-// between rounds.
+// every buffer in machine-id order. Small rounds skip the partition and
+// apply every buffer in one serial walk, in the same order. Machine order
+// makes committed contents (and hence kOverwrite races) independent of the
+// thread schedule, and the frozen-read invariant holds because committed
+// storage is only ever touched between rounds.
 //
 // Failure semantics (DESIGN.md "Fault injection & round-level recovery"): a
 // machine that throws MachineFailedError — injected by Config::fault or
@@ -200,7 +201,9 @@ class DirtyBuffers {
 //   phase B  commit_shard(s)     — apply shard s's slice of every dirty
 //            buffer in sealed (machine-id) order (independent across
 //            shards: disjoint key ranges).
-// finish_commit() clears the dirty buffers (capacity retained).
+// Below the runtime's parallel threshold, commit_sealed() replaces both
+// phases with one serial walk. finish_commit() clears the dirty buffers
+// (capacity retained).
 class TableBase {
  public:
   virtual ~TableBase() = default;
@@ -227,17 +230,12 @@ class TableBase {
   // staged outside the failed round and must still commit with the retry.
   virtual void discard_machine_staged() = 0;
 
-  // Serial commit of an already-sealed table: same phase order as the
-  // parallel path, hence bit-identical results.
-  void commit_sealed() {
-    for (std::size_t d = 0, nd = num_dirty_buffers(); d < nd; ++d) {
-      partition_staged(d);
-    }
-    for (std::size_t s = 0, ns = num_commit_shards(); s < ns; ++s) {
-      commit_shard(s);
-    }
-    finish_commit();
-  }
+  // Serial commit of an already-sealed table (small rounds): one walk over
+  // the dirty buffers in sealed machine-id order, program order within each,
+  // with no shard partition. Bit-identical to phases A+B: shards own
+  // disjoint keys, so every key sees its writes in the same order, and each
+  // shard's insertion sequence is the same subsequence of the walk.
+  virtual void commit_sealed() = 0;
 };
 
 }  // namespace detail
@@ -533,6 +531,16 @@ class StagedTable : public TableBase {
         self.commit_entry(shard, e.key, e.value);
       }
     }
+  }
+
+  void commit_sealed() override {
+    Derived& self = static_cast<Derived&>(*this);
+    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
+      for (Staged& e : buffer_at(dirty_.id_at(d)).entries) {
+        self.commit_entry(e.shard, e.key, e.value);
+      }
+    }
+    finish_commit();
   }
 
   void finish_commit() override {

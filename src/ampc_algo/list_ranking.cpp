@@ -1,6 +1,7 @@
 #include "ampc_algo/list_ranking.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -10,6 +11,11 @@
 namespace ampccut::ampc {
 
 namespace {
+
+// Per-element accumulators live on the stack: the round bodies run once per
+// element, and a heap vector per item showed up in profiles.
+constexpr std::size_t kMaxColumns = 2;
+using Acc = std::array<std::int64_t, kMaxColumns>;
 
 // One contraction level: successor pointers plus k value columns, and the
 // mapping of this level's dense ids back to the previous level's ids.
@@ -43,7 +49,7 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
     std::uint64_t seed) {
   const std::uint64_t n0 = next.size();
   const std::size_t k = value_columns.size();
-  REPRO_CHECK(k >= 1);
+  REPRO_CHECK(k >= 1 && k <= kMaxColumns);
   for (const auto& col : value_columns) REPRO_CHECK(col.size() == n0);
   if (n0 == 0) return std::vector<std::vector<std::int64_t>>(k);
   const std::uint64_t mem = rt.config().machine_memory_words;
@@ -88,7 +94,7 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
     rt.round_over_items("list_rank.walk", n,
                         [&](MachineContext&, std::uint64_t i) {
       if (!t_sampled->get(i)) return;
-      std::vector<std::int64_t> acc(k);
+      Acc acc{};
       for (std::size_t c = 0; c < k; ++c) acc[c] = t_val.cols[c]->get(i);
       std::uint64_t j = t_next->get(i);
       while (j != kNoNext && !t_sampled->get(j)) {
@@ -123,7 +129,7 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
       }
       rt.round_over_items("list_rank.direct_walk", n,
                           [&](MachineContext&, std::uint64_t i) {
-        std::vector<std::int64_t> acc(k);
+        Acc acc{};
         for (std::size_t c = 0; c < k; ++c) acc[c] = t_val.cols[c]->get(i);
         for (std::uint64_t j = t_next->get(i); j != kNoNext;
              j = t_next->get(j)) {
@@ -168,6 +174,7 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
       std::vector<std::vector<std::int64_t>> val(k,
                                                  std::vector<std::int64_t>(n));
       std::vector<std::uint8_t> has_pred(n, 0);
+      std::vector<std::uint64_t> chain;
       for (std::uint64_t i = 0; i < n; ++i) {
         nxt[i] = t_next->get(i);
         for (std::size_t c = 0; c < k; ++c) val[c][i] = t_val.cols[c]->get(i);
@@ -175,9 +182,9 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
       }
       for (std::uint64_t h = 0; h < n; ++h) {
         if (has_pred[h]) continue;
-        std::vector<std::uint64_t> chain;
+        chain.clear();
         for (std::uint64_t j = h; j != kNoNext; j = nxt[j]) chain.push_back(j);
-        std::vector<std::int64_t> acc(k, 0);
+        Acc acc{};
         for (std::size_t idx = chain.size(); idx-- > 0;) {
           for (std::size_t c = 0; c < k; ++c) {
             acc[c] += val[c][chain[idx]];
@@ -223,7 +230,7 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
         }
         return;
       }
-      std::vector<std::int64_t> acc(k);
+      Acc acc{};
       for (std::size_t c = 0; c < k; ++c) acc[c] = t_val.cols[c]->get(i);
       std::uint64_t j = t_next->get(i);
       while (j != kNoNext) {

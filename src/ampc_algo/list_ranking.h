@@ -38,7 +38,8 @@ std::vector<std::int64_t> list_rank(Runtime& rt,
 // structure in the SAME rounds (the walks are identical; only the carried
 // accumulators differ). The tree pipeline leans on this — e.g. depth deltas
 // and preorder flags ride one ranking instead of paying the round cost
-// twice. Returns one rank vector per input column.
+// twice. Returns one rank vector per input column; takes one or two columns
+// (the widest caller's need).
 std::vector<std::vector<std::int64_t>> list_rank_multi(
     Runtime& rt, const std::vector<std::uint64_t>& next,
     const std::vector<std::vector<std::int64_t>>& value_columns,

@@ -90,10 +90,11 @@ class AmpcPathMax {
   }
 
   // The hottest measured read path of the whole AMPC pipeline (one query per
-  // edge endpoint per level). Reads go through raw() with a local counter
-  // that is flushed to the caller's machine context once per query — the
-  // counted word totals are exactly what per-access get() would have
-  // produced, without a thread-local lookup per word.
+  // (vertex, level) pair with a leader, plus ldr_time's boundary candidates).
+  // Reads go through raw() with a local counter that is flushed to the
+  // caller's machine context once per query — the counted word totals are
+  // exactly what per-access get() would have produced, without a
+  // thread-local lookup per word.
   TimeStep query(MachineContext* ctx, VertexId u, VertexId v) const {
     if (u == v) return 0;
     std::uint64_t reads = 0;
@@ -278,8 +279,11 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
     return static_cast<VertexId>(rd(ctx, t_vertex_at, poff + position));
   };
 
-  // 4. Leader of every (vertex, level) pair, levels in parallel (Lemma 9's
-  // O(log^2 n) memory blowup). Index = v * h + (i - 1).
+  // 4. Leader and join time of every (vertex, level) pair, levels in
+  // parallel (Lemma 9's O(log^2 n) memory blowup). Index = v * h + (i - 1);
+  // the word packs (join << 32) | leader, join = pathmax(leader, v) being
+  // the time v's bag joins the leader's. Both halves are 32-bit and
+  // leader < n, so kNoNext (all ones) still means "no leader".
   auto t_leader = rt.lease_dense<std::uint64_t>(
       "sc.leader", static_cast<std::uint64_t>(n) * h, kNoNext);
   rt.round_over_items("singleton.leaders",
@@ -289,8 +293,16 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
     const auto i = static_cast<std::uint32_t>(item % h) + 1;
     if (rd(ctx, t_label, v) < i) return;  // v not alive at this level
     const ClimbResult r = climb(ctx, v, i);
-    if (r.leader != kInvalidVertex) t_leader->put(item, r.leader);
+    if (r.leader == kInvalidVertex) return;
+    const TimeStep join = pm.query(&ctx, r.leader, v);
+    t_leader->put(item, (static_cast<std::uint64_t>(join) << 32) | r.leader);
   });
+  const auto leader_of = [](std::uint64_t word) {
+    return static_cast<VertexId>(word & 0xffffffffu);
+  };
+  const auto join_of = [](std::uint64_t word) {
+    return static_cast<TimeStep>(word >> 32);
+  };
 
   // 5. ldr_time per leader (Lemma 11): at most two boundary candidates — up
   // through the interval's left end (or the attach vertex), down through its
@@ -325,7 +337,8 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
     }
   });
 
-  // 6. Edge time intervals (Lemmas 12/13) over (edge, level) pairs.
+  // 6. Edge time intervals (Lemmas 12/13) over (edge, level) pairs. Every
+  // join time comes packed with its leader from step 4: no path-max query.
   struct Interval {
     VertexId leader;
     TimeStep lo, hi;
@@ -358,11 +371,11 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
       const std::uint64_t ly =
           ya ? rd(ctx, t_leader, static_cast<std::uint64_t>(y) * h + (i - 1))
              : kNoNext;
-      if (lx != kNoNext && lx == ly) {
+      if (lx != kNoNext && leader_of(lx) == leader_of(ly)) {
         // Same component & leader (Case 3b): crosses between joining times.
-        const auto leader = static_cast<VertexId>(lx);
-        const TimeStep jx = pm.query(&ctx, leader, x);
-        const TimeStep jy = pm.query(&ctx, leader, y);
+        const VertexId leader = leader_of(lx);
+        const TimeStep jx = join_of(lx);
+        const TimeStep jy = join_of(ly);
         if (jx == jy) continue;  // joined simultaneously, never crosses
         const auto ldr = static_cast<TimeStep>(rd(ctx, t_ldr, leader));
         const TimeStep a = std::min(jx, jy);
@@ -373,11 +386,10 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
         }
       } else {
         // Cases 2/3a: each alive side contributes until its leader falls.
-        for (const auto& [alive, lv, z] :
-             {std::tuple{xa, lx, x}, std::tuple{ya, ly, y}}) {
-          if (!alive || lv == kNoNext) continue;
-          const auto leader = static_cast<VertexId>(lv);
-          const TimeStep j = pm.query(&ctx, leader, z);
+        for (const std::uint64_t lv : {lx, ly}) {
+          if (lv == kNoNext) continue;  // dead side, or no leader
+          const VertexId leader = leader_of(lv);
+          const TimeStep j = join_of(lv);
           const auto ldr = static_cast<TimeStep>(rd(ctx, t_ldr, leader));
           if (j <= ldr) {
             local.push_back({leader, j, ldr, w});

@@ -7,15 +7,18 @@
 //      label arithmetic (Lemmas 3-7), measured;
 //   3. HLD + path-max RMQ build                — cited O(1/eps) (Theorem 4);
 //      queries are measured reads (O(log n) per query, as Theorem 4 states);
-//   4. leader resolution for every (vertex, level) pair — ONE adaptive-walk
-//      round navigating components arithmetically through the binarized-path
-//      geometry (this is where Definition 1 + Lemma 10's "positions are
-//      functions of path length and position" pay off; levels processed in
-//      parallel with the O(log^2 n) memory blowup of Lemma 9);
+//   4. leader and join time of every (vertex, level) pair — ONE
+//      adaptive-walk round navigating components arithmetically through the
+//      binarized-path geometry (this is where Definition 1 + Lemma 10's
+//      "positions are functions of path length and position" pay off;
+//      levels processed in parallel with the O(log^2 n) memory blowup of
+//      Lemma 9), plus one path-max query per resolved pair for the time the
+//      vertex joins its leader's bag, stored in the same table word;
 //   5. ldr_time per leader (Lemma 11)          — one round, <= 2 boundary
 //      candidates each;
 //   6. edge time intervals (Lemmas 12/13)      — one round over
-//      (edge, level) pairs;
+//      (edge, level) pairs, reading both endpoints' leader and join time
+//      from step 4 (no path-max query);
 //   7. group intervals by leader               — cited sort;
 //   8. minimum coverage per leader (Lemma 14)  — segmented min-prefix-sum
 //      (Theorem 5), measured.
@@ -29,8 +32,10 @@
 // (vertex, level) and (edge, level) rounds: O((n+m) log n) word writes in
 // total with the O(log^2 n) interval blowup bounded by Lemma 9 (E3 reports
 // peak_table_words against that budget); leader-resolution walks and
-// path-max queries are adaptive reads of O(log n) words each, keeping
-// per-machine traffic within O(n^eps) up to the violations A1c measures.
+// path-max queries are adaptive reads of O(log n) words each — one query
+// per (vertex, level) pair in step 4 and at most two per leader in step 5,
+// none in step 6 — keeping per-machine traffic within O(n^eps) up to the
+// violations A1c measures.
 #pragma once
 
 #include "ampc/runtime.h"

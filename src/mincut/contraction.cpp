@@ -167,7 +167,7 @@ ContractedGraph contract_to_size(const WGraph& g, const ContractionOrder& order,
   for (const auto& e : s.edges_a) {
     if (!out.g.edges.empty() && out.g.edges.back().u == e.u &&
         out.g.edges.back().v == e.v) {
-      out.g.edges.back().w += e.w;
+      out.g.edges.back().w = sat_add(out.g.edges.back().w, e.w);
     } else {
       out.g.edges.push_back(e);
     }

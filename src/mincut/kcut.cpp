@@ -30,7 +30,6 @@ ApproxKCutResult apx_split_k_cut(
     const std::function<void(std::uint32_t)>& on_iteration, ThreadPool* pool) {
   REPRO_CHECK(k >= 1 && k <= g.n);
   std::vector<std::uint8_t> removed(g.edges.size(), 0);
-  std::uint64_t splitter_calls = 0;  // across all passes, for call_seq
   // Cut cache indexed by a component's smallest original vertex; the entry
   // is valid while solved_n matches its vertex count (reuse invariant,
   // kcut.h).
@@ -38,6 +37,7 @@ ApproxKCutResult apx_split_k_cut(
   std::vector<MinCutResult> solved_cut(g.n);
 
   ApproxKCutResult out;
+  std::uint64_t& splitter_calls = out.splitter_calls;  // call_seq base
   for (;;) {
     // Components of G minus the removed cut edges.
     WGraph residual;

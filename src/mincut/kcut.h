@@ -33,6 +33,9 @@ struct ApproxKCutResult {
   std::vector<std::uint32_t> part;  // component id per vertex, in [0, >=k)
   std::uint32_t num_parts = 0;
   std::uint32_t iterations = 0;
+  // Splitter calls across all passes (the last call_seq issued). Each
+  // component is solved once, so a regression to re-solving shows here.
+  std::uint64_t splitter_calls = 0;
 };
 
 // Splitter contract: given a connected component as a standalone graph

@@ -109,5 +109,21 @@ TEST(ContractToSize, TargetAboveNIsIdentity) {
   EXPECT_EQ(c.g.m(), 8u);
 }
 
+TEST(ContractToSize, MergedInfiniteEdgesSaturate) {
+  // Contracting (0,1) first makes the two infinite edges parallel; their
+  // merged weight must stay infinite instead of wrapping.
+  WGraph g;
+  g.n = 3;
+  g.add_edge(0, 1, 1);
+  g.add_edge(0, 2, kInfiniteWeight);
+  g.add_edge(1, 2, kInfiniteWeight);
+  ContractionOrder o;
+  o.time = {1, 2, 3};
+  const ContractedGraph c = contract_to_size(g, o, 2);
+  ASSERT_EQ(c.g.n, 2u);
+  ASSERT_EQ(c.g.m(), 1u);
+  EXPECT_EQ(c.g.edges[0].w, kInfiniteWeight);
+}
+
 }  // namespace
 }  // namespace ampccut

@@ -12,6 +12,9 @@
 // instead of silently de-reproducing experiments.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "ampc_algo/mincut_ampc.h"
 #include "ampc_algo/singleton_ampc.h"
 #include "flow/gomory_hu.h"
@@ -55,6 +58,102 @@ TEST(Determinism, SingletonAmpcSameSeedSameResult) {
         << "seed " << seed;
     EXPECT_EQ(rt_a.metrics().dht_writes, rt_b.metrics().dht_writes)
         << "seed " << seed;
+  }
+}
+
+// Counts of one ampc_min_singleton_cut run, pinned below.
+struct SingletonPin {
+  Weight weight;
+  VertexId rep;
+  TimeStep time;
+  std::uint64_t rounds;
+  std::uint64_t charged_rounds;
+  std::uint64_t dht_writes;
+  std::uint64_t peak_table_words;
+  std::map<std::string, std::uint64_t, std::less<>> rounds_by_label;
+  // Exclusive ceiling: the tracker once ran a path-max query per (edge,
+  // level) endpoint, and this was its read count. Reads may only drop.
+  std::uint64_t dht_reads_below;
+};
+
+// Four dense clusters joined in a ring by light bundles, the shape of the
+// certified rings the solve benchmarks run: each cluster is two Hamiltonian
+// cycles (steps 1 and 3 around 16 vertices) of weights 10..14, and bundle j
+// is two edges of weight j + 1 into the next cluster.
+WGraph pinned_ring() {
+  constexpr VertexId kClusters = 4;
+  constexpr VertexId kSize = 16;
+  WGraph g;
+  g.n = kClusters * kSize;
+  for (VertexId c = 0; c < kClusters; ++c) {
+    const VertexId base = c * kSize;
+    for (VertexId i = 0; i < kSize; ++i) {
+      g.add_edge(base + i, base + (i + 1) % kSize, 10 + i % 5);
+      g.add_edge(base + i, base + (i + 3) % kSize, 10 + (i + 2) % 5);
+    }
+    const VertexId next = ((c + 1) % kClusters) * kSize;
+    g.add_edge(base + 2, next + 5, c + 1);
+    g.add_edge(base + 9, next + 12, c + 1);
+  }
+  return g;
+}
+
+// The tracker's answer and every model count except reads, pinned on three
+// graphs at pool widths 1 and 4: host-side speedups of the tracker must
+// leave rounds, writes and table sizes exactly where they are.
+TEST(Determinism, AmpcSingletonCountsPinned) {
+  WGraph random = gen_random_connected(60, 240, 7);
+  randomize_weights(random, 9, 3);
+  // Every label a tracker run bumps; only the list-ranking contraction
+  // depth differs between the three graphs.
+  const auto labels = [](std::uint64_t lr_levels) {
+    return std::map<std::string, std::uint64_t, std::less<>>{
+        {"euler.orient", 1},
+        {"euler.sort[cited]", 0},
+        {"euler.successors", 1},
+        {"hld_rmq.build[cited Thm 4]", 0},
+        {"list_rank.base", 4},
+        {"list_rank.compact[cited]", 0},
+        {"list_rank.expand", lr_levels},
+        {"list_rank.sample", lr_levels},
+        {"list_rank.walk", lr_levels},
+        {"low_depth.base_depth", 1},
+        {"low_depth.heavy", 1},
+        {"low_depth.label", 1},
+        {"msf[cited Behnezhad et al. 2020]", 0},
+        {"segmented_min_prefix.leaf", 1},
+        {"singleton.group_sort[cited]", 0},
+        {"singleton.intervals", 1},
+        {"singleton.ldr_time", 1},
+        {"singleton.leaders", 1}};
+  };
+  const std::vector<std::pair<WGraph, SingletonPin>> cases = {
+      {pinned_ring(),
+       {10, 5, 56, 19, 10, 2847, 2118, labels(2), 33227}},
+      {random, {11, 23, 0, 19, 10, 3935, 2101, labels(2), 62016}},
+      {gen_grid(8, 9), {2, 0, 0, 25, 12, 3226, 2614, labels(4), 39591}},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const WGraph& g = cases[c].first;
+    const SingletonPin& pin = cases[c].second;
+    const ContractionOrder o = make_contraction_order(g, 11 + c);
+    for (const std::size_t width : {1u, 4u}) {
+      ThreadPool pool(width);
+      ampc::Runtime rt(ampc::Config::for_problem(g.n + g.m(), 0.5), &pool);
+      const SingletonCutResult r = ampc::ampc_min_singleton_cut(rt, g, o);
+      const ampc::Metrics& m = rt.metrics();
+      SCOPED_TRACE(::testing::Message() << "case " << c << " width "
+                                        << width);
+      EXPECT_EQ(r.weight, pin.weight);
+      EXPECT_EQ(r.rep, pin.rep);
+      EXPECT_EQ(r.time, pin.time);
+      EXPECT_EQ(m.rounds, pin.rounds);
+      EXPECT_EQ(m.charged_rounds, pin.charged_rounds);
+      EXPECT_EQ(m.dht_writes, pin.dht_writes);
+      EXPECT_EQ(m.peak_table_words, pin.peak_table_words);
+      EXPECT_EQ(m.rounds_by_label, pin.rounds_by_label);
+      EXPECT_LT(m.dht_reads, pin.dht_reads_below);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "ampc/runtime.h"
 
@@ -158,6 +159,79 @@ TEST(RuntimeConcurrency, LargeRoundTakesParallelCommitPath) {
   ThreadPool one(1);
   ThreadPool many(4);
   EXPECT_EQ(run(one), run(many));
+}
+
+// Shared-key contents after one round in which 16 machines each write every
+// shared key twice, under kOverwrite, kMin and kSum, into a DenseTable and a
+// Table each. `pad` disjoint-key writes per table ride along: with pad 0 the
+// round stages under the runtime's 4096-entry parallel-commit threshold (the
+// serial walk), with pad 8192 over it (the two-phase shard commit).
+std::vector<std::uint64_t> shared_key_commits(ThreadPool& pool,
+                                              std::uint64_t pad) {
+  constexpr std::uint64_t kShared = 8;
+  constexpr std::size_t kMachines = 16;
+  Runtime rt(Config::for_problem(1 << 14, 0.5), &pool);
+  std::vector<std::unique_ptr<DenseTable<std::uint64_t>>> dense;
+  std::vector<std::unique_ptr<Table<std::uint64_t, std::uint64_t>>> hashed;
+  for (const Merge p : {Merge::kOverwrite, Merge::kMin, Merge::kSum}) {
+    const std::uint64_t init = p == Merge::kMin ? ~0ull : 0;
+    dense.push_back(std::make_unique<DenseTable<std::uint64_t>>(
+        rt, "d", kShared + pad, init, p));
+    hashed.push_back(
+        std::make_unique<Table<std::uint64_t, std::uint64_t>>(rt, "t", p));
+  }
+  const std::uint64_t pad_per = ceil_div(pad, kMachines);
+  rt.round("commit", kMachines, [&](MachineContext& ctx) {
+    const auto m = static_cast<std::uint64_t>(ctx.machine_id());
+    for (std::uint64_t rep = 0; rep < 2; ++rep) {
+      for (std::uint64_t k = 0; k < kShared; ++k) {
+        const std::uint64_t v = (m * 7 + k * 3 + rep * 5) % 23 + 1;
+        for (auto& t : dense) t->put(k, v);
+        for (auto& t : hashed) t->put(k, v);
+      }
+    }
+    for (std::uint64_t j = m * pad_per; j < std::min(pad, (m + 1) * pad_per);
+         ++j) {
+      for (auto& t : dense) t->put(kShared + j, j);
+      for (auto& t : hashed) t->put(kShared + j, j);
+    }
+  });
+  std::vector<std::uint64_t> out;
+  for (std::size_t p = 0; p < dense.size(); ++p) {
+    for (std::uint64_t k = 0; k < kShared; ++k) {
+      out.push_back(dense[p]->raw(k));
+      out.push_back(hashed[p]->at(k));
+    }
+  }
+  return out;
+}
+
+TEST(RuntimeConcurrency, SerialAndTwoPhaseCommitAgree) {
+  constexpr std::uint64_t kShared = 8;
+  // The values the round writes, merged by hand in machine-id then program
+  // order: kOverwrite keeps machine 15's second write.
+  std::vector<std::uint64_t> want;
+  for (int p = 0; p < 3; ++p) {
+    for (std::uint64_t k = 0; k < kShared; ++k) {
+      std::uint64_t last = 0, lo = ~0ull, sum = 0;
+      for (std::uint64_t m = 0; m < 16; ++m) {
+        for (std::uint64_t rep = 0; rep < 2; ++rep) {
+          last = (m * 7 + k * 3 + rep * 5) % 23 + 1;
+          lo = std::min(lo, last);
+          sum += last;
+        }
+      }
+      const std::uint64_t v = p == 0 ? last : (p == 1 ? lo : sum);
+      want.push_back(v);  // DenseTable
+      want.push_back(v);  // Table
+    }
+  }
+  ThreadPool one(1);
+  ThreadPool many(4);
+  for (const std::uint64_t pad : {0ull, 8192ull}) {
+    EXPECT_EQ(shared_key_commits(one, pad), want) << "pad " << pad;
+    EXPECT_EQ(shared_key_commits(many, pad), want) << "pad " << pad;
+  }
 }
 
 TEST(RuntimeConcurrency, BudgetViolationCountingUnchanged) {
