@@ -497,8 +497,6 @@ int main(int argc, char** argv) {
     const ContractionOrder o = make_contraction_order(g, 1);
     bench_exact(h, "singleton_oracle", n,
                 [&] { (void)min_singleton_cut_oracle(g, o); });
-    bench_exact(h, "singleton_interval", n,
-                [&] { (void)min_singleton_cut_interval(g, o); });
   }
   // Kernelization pass on sparse graphs (BENCHMARKS.md "kernelization").
   for (const std::uint64_t n : smoke ? std::vector<std::uint64_t>{1 << 12}

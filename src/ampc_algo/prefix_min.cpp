@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "support/bits.h"
 #include "support/check.h"
 
 namespace ampccut::ampc {
@@ -34,67 +33,6 @@ Summary combine(const Summary& l, const Summary& r) {
 }
 
 }  // namespace
-
-std::vector<std::int64_t> prefix_sums(Runtime& rt,
-                                      const std::vector<std::int64_t>& values) {
-  const std::uint64_t n = values.size();
-  if (n == 0) return {};
-  const std::uint64_t B = std::max<std::uint64_t>(2, rt.config().machine_memory_words);
-
-  // Up-sweep: tier t holds block sums of tier t-1 (blocks of size B).
-  std::vector<std::vector<std::int64_t>> tiers{values};
-  while (tiers.back().size() > 1) {
-    const auto& cur = tiers.back();
-    const std::uint64_t blocks = ceil_div(cur.size(), B);
-    auto t_in = rt.lease_dense<std::int64_t>("psum.in", cur.size());
-    auto t_out = rt.lease_dense<std::int64_t>("psum.out", blocks, 0);
-    for (std::uint64_t i = 0; i < cur.size(); ++i) t_in->seed(i, cur[i]);
-    rt.round("prefix_sums.up", blocks, [&](MachineContext& ctx) {
-      const std::uint64_t b = ctx.machine_id();
-      const std::uint64_t lo = b * B, hi = std::min<std::uint64_t>(cur.size(), lo + B);
-      std::int64_t s = 0;
-      for (std::uint64_t i = lo; i < hi; ++i) s += t_in->get(i);
-      t_out->put(b, s);
-    });
-    std::vector<std::int64_t> nxt(blocks);
-    for (std::uint64_t b = 0; b < blocks; ++b) nxt[b] = t_out->raw(b);
-    tiers.push_back(std::move(nxt));
-    if (blocks == 1) break;
-  }
-
-  // Down-sweep: carry the exclusive prefix of each block downward.
-  std::vector<std::int64_t> carry{0};  // exclusive prefix per top-tier block
-  for (std::size_t t = tiers.size(); t-- > 0;) {
-    const auto& cur = tiers[t];
-    auto t_in = rt.lease_dense<std::int64_t>("psum.d.in", cur.size());
-    auto t_carry = rt.lease_dense<std::int64_t>("psum.d.carry", carry.size());
-    auto t_out = rt.lease_dense<std::int64_t>("psum.d.out", cur.size(), 0);
-    for (std::uint64_t i = 0; i < cur.size(); ++i) t_in->seed(i, cur[i]);
-    for (std::uint64_t i = 0; i < carry.size(); ++i) t_carry->seed(i, carry[i]);
-    const std::uint64_t blocks = ceil_div(cur.size(), B);
-    rt.round("prefix_sums.down", blocks, [&](MachineContext& ctx) {
-      const std::uint64_t b = ctx.machine_id();
-      const std::uint64_t lo = b * B, hi = std::min<std::uint64_t>(cur.size(), lo + B);
-      std::int64_t acc = t_carry->get(b);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        acc += t_in->get(i);
-        t_out->put(i, acc);  // inclusive prefix
-      }
-    });
-    if (t == 0) {
-      std::vector<std::int64_t> out(cur.size());
-      for (std::uint64_t i = 0; i < cur.size(); ++i) out[i] = t_out->raw(i);
-      return out;
-    }
-    // Exclusive prefixes for the tier below = inclusive prefix minus own sum.
-    std::vector<std::int64_t> next_carry(cur.size());
-    for (std::uint64_t i = 0; i < cur.size(); ++i) {
-      next_carry[i] = t_out->raw(i) - cur[i];
-    }
-    carry = std::move(next_carry);
-  }
-  return {};
-}
 
 std::vector<MinPrefixResult> segmented_min_prefix_sum(
     Runtime& rt, const std::vector<std::int64_t>& values,
@@ -196,14 +134,6 @@ std::vector<MinPrefixResult> segmented_min_prefix_sum(
     out[cur_seg[k]] = {cur[k].min_prefix, cur[k].argmin};
   }
   return out;
-}
-
-MinPrefixResult min_prefix_sum(Runtime& rt,
-                               const std::vector<std::int64_t>& values) {
-  REPRO_CHECK(!values.empty());
-  const auto r = segmented_min_prefix_sum(
-      rt, values, {0, static_cast<std::uint64_t>(values.size())});
-  return r[0];
 }
 
 }  // namespace ampccut::ampc

@@ -161,7 +161,8 @@ struct ClimbResult {
 
 SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
                                           const ContractionOrder& order,
-                                          const AmpcSingletonOptions& opt) {
+                                          const AmpcSingletonOptions& opt,
+                                          std::uint64_t* intervals_out) {
   REPRO_CHECK(g.n >= 2);
   REPRO_CHECK(order.time.size() == g.edges.size());
   const VertexId n = g.n;
@@ -405,6 +406,7 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
   });
   std::size_t num_intervals = 0;
   for (const std::vector<Interval>& slot : slots) num_intervals += slot.size();
+  if (intervals_out != nullptr) *intervals_out = num_intervals;
   std::vector<Interval> intervals;
   intervals.reserve(num_intervals);
   for (std::vector<Interval>& slot : slots) {

@@ -23,8 +23,11 @@
 //   8. minimum coverage per leader (Lemma 14)  — segmented min-prefix-sum
 //      (Theorem 5), measured.
 //
-// Exactness contract: identical output (including a reconstructable witness)
-// to mincut/singleton.h's oracle on every graph — enforced by tests.
+// Exactness contract: the same weight as mincut/singleton.h's oracle on every
+// graph, and a witness that reconstructs to a bag of that weight — enforced
+// by tests. The witness itself may differ from the oracle's when several
+// bags attain the minimum: here it is the first minimizing leader in vertex
+// order at its earliest minimizing time.
 //
 // Cost summary: steps 2, 4, 5, 6 and 8 are measured; steps 1, 3 and 7 are
 // charged (`msf[cited Behnezhad et al. 2020]`, `hld_rmq.build[cited Thm 4]`,
@@ -50,8 +53,11 @@ struct AmpcSingletonOptions {
 
 // Requires a connected graph with n >= 2 (the min-cut driver guards
 // disconnected inputs). Rounds/reads/memory accumulate into rt.metrics().
+// `intervals`, when set, receives the number of (leader, edge) time
+// intervals step 6 materialized — Lemma 9's memory blowup, which E3 reports.
 SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
                                           const ContractionOrder& order,
-                                          const AmpcSingletonOptions& opt = {});
+                                          const AmpcSingletonOptions& opt = {},
+                                          std::uint64_t* intervals = nullptr);
 
 }  // namespace ampccut::ampc

@@ -208,19 +208,12 @@ ThreadPool* resolve_recursion_pool(std::uint32_t threads,
   return owned.get();
 }
 
-MinCutBackend make_sequential_backend(bool use_oracle_tracker) {
+MinCutBackend make_sequential_backend() {
   MinCutBackend b;
-  if (use_oracle_tracker) {
-    b.track_singleton = [](const WGraph& g, const ContractionOrder& o,
-                           std::uint32_t) {
-      return min_singleton_cut_oracle(g, o);
-    };
-  } else {
-    b.track_singleton = [](const WGraph& g, const ContractionOrder& o,
-                           std::uint32_t) {
-      return min_singleton_cut_interval(g, o);
-    };
-  }
+  b.track_singleton = [](const WGraph& g, const ContractionOrder& o,
+                         std::uint32_t) {
+    return min_singleton_cut_oracle(g, o);
+  };
   b.solve_local = [](const WGraph& g, std::uint32_t) {
     return stoer_wagner_min_cut(g);
   };
@@ -311,8 +304,7 @@ ApproxMinCutResult approx_min_cut_with_backend(const WGraph& g,
 
 ApproxMinCutResult approx_min_cut(const WGraph& g,
                                   const ApproxMinCutOptions& opt) {
-  return approx_min_cut_with_backend(
-      g, opt, make_sequential_backend(opt.use_oracle_tracker));
+  return approx_min_cut_with_backend(g, opt, make_sequential_backend());
 }
 
 }  // namespace ampccut

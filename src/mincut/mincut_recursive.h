@@ -21,9 +21,11 @@
 // depth-first path with zero task machinery.
 //
 // The skeleton is backend-parameterized: the sequential backend plugs in the
-// interval tracker of Section 4; the AMPC/MPC backends plug in trackers that
-// run on their runtimes and account rounds. All share this file's schedule,
-// so round-complexity comparisons isolate the models, not the recursion.
+// small-to-large oracle tracker (mincut/singleton.h); the AMPC backend plugs
+// in Section 4's tracker on the AMPC runtime and the MPC baseline prices its
+// tree pipeline on the MPC runtime, both accounting rounds. All share this
+// file's schedule, so round-complexity comparisons isolate the models, not
+// the recursion.
 // Backends must be thread-safe: hooks are invoked concurrently from branch
 // tasks (all in-repo backends accumulate their metrics under a mutex or in
 // per-call runtimes).
@@ -65,7 +67,6 @@ struct ApproxMinCutOptions {
   VertexId local_threshold = 32;   // solve exactly at or below this size
   std::uint32_t trials = 2;        // independent runs of the whole recursion
   std::uint64_t seed = 1;
-  bool use_oracle_tracker = false;  // reference tracker instead of Section 4
   // Recursion parallelism: 0 = the shared pool (hardware concurrency),
   // 1 = the exact historical sequential execution path, N > 1 = a dedicated
   // N-thread pool for this call. Thread count never changes any result.
@@ -115,8 +116,8 @@ struct MinCutBackend {
   std::function<void(std::uint32_t level, std::uint64_t instances)> on_level;
 };
 
-// Sequential backend: interval (or oracle) tracker + Stoer–Wagner.
-MinCutBackend make_sequential_backend(bool use_oracle_tracker);
+// Sequential backend: oracle tracker + Stoer–Wagner.
+MinCutBackend make_sequential_backend();
 
 // Runs the recursion with the given backend. Handles disconnected inputs
 // (returns a zero cut along a component). Requires n >= 2.
@@ -124,7 +125,7 @@ ApproxMinCutResult approx_min_cut_with_backend(const WGraph& g,
                                                const ApproxMinCutOptions& opt,
                                                const MinCutBackend& backend);
 
-// Convenience: sequential backend per `opt.use_oracle_tracker`.
+// Convenience: the recursion on the sequential backend.
 ApproxMinCutResult approx_min_cut(const WGraph& g,
                                   const ApproxMinCutOptions& opt = {});
 

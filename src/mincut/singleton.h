@@ -1,12 +1,15 @@
 // Smallest singleton cut of a contraction process — common result type.
 //
-// Semantics shared by every tracker in the library (oracle, interval, AMPC,
-// MPC): the minimum over all pairs (v, t) of the weighted boundary of
-// bag(v, t) (Definition 6 / Observation 7), ranging over bags that are proper
-// subsets of v's connected component. Bags equal to a whole component are not
-// cuts of that component and are excluded; the paper implicitly assumes
-// connected inputs, where this only excludes bag == V (DESIGN.md deviation
-// #5). Trackers must agree *exactly* — tests enforce it.
+// Semantics shared by every tracker in the library (the sequential oracle
+// below and the AMPC tracker of ampc_algo/singleton_ampc.h): the minimum over
+// all pairs (v, t) of the weighted boundary of bag(v, t) (Definition 6 /
+// Observation 7), ranging over bags that are proper subsets of v's connected
+// component. Bags equal to a whole component are not cuts of that component
+// and are excluded; the paper implicitly assumes connected inputs, where this
+// only excludes bag == V (DESIGN.md deviation #5). Trackers must agree
+// *exactly* on the weight, and every witness must reconstruct to a bag of
+// that weight — tests enforce both. Witnesses may differ between trackers
+// when several bags attain the minimum.
 #pragma once
 
 #include <cstdint>
@@ -30,28 +33,14 @@ std::vector<std::uint8_t> reconstruct_bag(const WGraph& g,
                                           const ContractionOrder& order,
                                           VertexId rep, TimeStep t);
 
-// Exact reference tracker: Kruskal with smaller-into-larger boundary-edge
-// sets, O(m log m log n) expected. Works on any graph (multigraphs,
-// disconnected).
+// The library's sequential tracker: Kruskal with smaller-into-larger
+// boundary-edge sets, O(m log m log n) expected. Works on any graph
+// (multigraphs, disconnected). Boundary weights are summed exactly, so bags
+// whose boundary reaches kInfiniteWeight report kInfiniteWeight instead of a
+// wrapped sum. Witness rule: the earliest bag in contraction order that
+// attains the minimum — the singletons {v} at time 0 first, in vertex-id
+// order, then each merged bag at the time of the edge that formed it.
 SingletonCutResult min_singleton_cut_oracle(const WGraph& g,
                                             const ContractionOrder& order);
-
-// Per-level statistics from the interval tracker, used by the memory /
-// structure benches (E3, E6).
-struct IntervalTrackerStats {
-  std::uint32_t height = 0;             // decomposition height used
-  std::uint64_t total_intervals = 0;    // Lemma 13 objects materialized
-  std::uint64_t total_level_vertices = 0;
-  std::uint32_t max_boundary_edges = 0;  // Lemma 10 (must be <= 2)
-  std::uint64_t peak_level_words = 0;    // memory proxy: max words per level
-};
-
-// The paper's tracker (Sections 3+4, sequential execution): low-depth
-// decomposition, per-level leaders / ldr_time / edge time intervals, minimum
-// interval coverage via a prefix sweep. Requires a connected graph with
-// n >= 2. `parallel` runs levels on the shared thread pool.
-SingletonCutResult min_singleton_cut_interval(
-    const WGraph& g, const ContractionOrder& order,
-    IntervalTrackerStats* stats = nullptr, bool parallel = true);
 
 }  // namespace ampccut

@@ -41,9 +41,11 @@ SingletonCutResult min_singleton_cut_oracle(const WGraph& g,
   }
 
   // Per-component boundary-edge id sets, merged smaller-into-larger (by set
-  // size); cutw tracks the exact weighted boundary.
+  // size); cutw tracks the exact weighted boundary. With 32-bit edge ids a
+  // boundary sum stays below 2^96, so it never wraps in 128 bits, even
+  // through kInfiniteWeight edges, and the subtraction below is exact.
   std::vector<std::unordered_set<EdgeId>> boundary(g.n);
-  std::vector<Weight> cutw(g.n, 0);
+  std::vector<unsigned __int128> cutw(g.n, 0);
   for (EdgeId e = 0; e < g.edges.size(); ++e) {
     boundary[g.edges[e].u].insert(e);
     boundary[g.edges[e].v].insert(e);
@@ -56,8 +58,11 @@ SingletonCutResult min_singleton_cut_oracle(const WGraph& g,
   std::vector<VertexId> size(g.n, 1);
   auto consider = [&](VertexId root, TimeStep t) {
     if (size[root] >= comp_size[root]) return;  // complete bag: not a cut
-    if (cutw[root] < best.weight) {
-      best.weight = cutw[root];
+    const Weight w = cutw[root] >= kInfiniteWeight
+                         ? kInfiniteWeight
+                         : static_cast<Weight>(cutw[root]);
+    if (w < best.weight) {
+      best.weight = w;
       best.rep = root;
       best.time = t;
     }

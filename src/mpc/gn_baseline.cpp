@@ -28,7 +28,8 @@ MpcMinCutReport mpc_gn_min_cut(const WGraph& g, const MpcMinCutOptions& opt) {
     // Execute the MPC-priced tree pipeline for its measured round count:
     // Boruvka MST, then tour positions via pointer doubling over the MST's
     // heavy-chain successor lists (the dominant log-n steps of GN's
-    // decomposition). Cut values come from the shared interval machinery.
+    // decomposition). Cut values come from the sequential oracle tracker;
+    // they do not enter the round count.
     Runtime rt(Config{}, opt.num_machines);
     const auto forest = mpc_msf_boruvka(rt, inst, o);
     if (forest.size() + 1 == inst.n && inst.n >= 2) {
@@ -51,7 +52,7 @@ MpcMinCutReport mpc_gn_min_cut(const WGraph& g, const MpcMinCutOptions& opt) {
           std::max(level_rounds[level], rt.metrics().rounds);
       report.messages += rt.metrics().messages;
     }
-    return min_singleton_cut_interval(inst, o);
+    return min_singleton_cut_oracle(inst, o);
   };
   backend.solve_local = [&](const WGraph& inst, std::uint32_t) {
     {

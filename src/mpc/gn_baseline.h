@@ -6,8 +6,8 @@
 // Theta(log n) MPC rounds: MST via Boruvka and tour positions via pointer
 // doubling. We execute those two primitives for real on the MPC simulator
 // (their measured rounds carry the log n factor the paper's Theorem 1
-// removes) and reuse the exact sequential interval machinery for the cut
-// values, so quality matches and only the model cost differs. Corollary 1's
+// removes) and take the cut values from the exact sequential oracle tracker,
+// so quality matches and only the model cost differs. Corollary 1's
 // k-cut wrapper composes it with APX-SPLIT.
 #pragma once
 

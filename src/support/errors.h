@@ -115,12 +115,4 @@ class InvalidQueryError : public Error {
   std::uint64_t t_;
 };
 
-// Failure in the standalone IPC primitives (src/transport/): a malformed or
-// truncated wire frame, or a shared-memory ring that cannot be created,
-// attached or drained.
-class TransportError : public Error {
- public:
-  using Error::Error;
-};
-
 }  // namespace ampccut

@@ -14,8 +14,9 @@
 //    std::stable_sort fallback — produces the same bytes.
 //  * radix_rank — stable parallel counting sort ("rank by bounded integer
 //    key"): per-block histograms, one key-major offset scan, per-block
-//    stable scatter. Optionally reports the per-key group offsets, which is
-//    what callers grouping items by key (singleton_interval) need anyway.
+//    stable scatter. Optionally reports the per-key group offsets, for
+//    callers that group items by key. No library layer calls it today; its
+//    tests and bench_micro_primitives do.
 //  * exclusive_scan — parallel exclusive prefix sum over unsigned integers
 //    (block sums, sequential block-sum scan, parallel rewrite). Unsigned
 //    addition is associative mod 2^w, so the parallel decomposition is

@@ -62,9 +62,8 @@ HeavyLight build_heavy_light(const RootedTree& t);
 // Max contraction time on tree paths, O(log n) per query after O(n log n)
 // preprocessing. pathmax(u, u) == 0 by convention (empty path).
 //
-// query() is the single hottest function of the interval tracker (one call
-// per edge endpoint per decomposition level), so the structure is flattened
-// for it: per-vertex head/depth/parent-hop arrays replace the pointer-chasing
+// The structure is flattened for query speed: per-vertex
+// head/depth/parent-hop arrays replace the pointer-chasing
 // through RootedTree/HeavyLight, and the sparse table is one contiguous
 // buffer indexed by per-level offsets.
 class PathMax {

@@ -92,28 +92,14 @@ TEST(AmpcListRank, RoundsStayFlatAcrossSizes) {
   EXPECT_LE(rounds_large, rounds_small + 6);
 }
 
-TEST(AmpcPrefix, PrefixSumsMatchScan) {
-  Rng rng(5);
-  for (const std::uint64_t n : {1u, 7u, 64u, 1000u}) {
-    std::vector<std::int64_t> vals(n);
-    for (auto& v : vals) v = static_cast<std::int64_t>(rng.next_below(19)) - 9;
-    Runtime rt = make_rt(std::max<std::uint64_t>(n, 16));
-    const auto ps = prefix_sums(rt, vals);
-    std::int64_t acc = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      acc += vals[i];
-      EXPECT_EQ(ps[i], acc) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
 TEST(AmpcPrefix, MinPrefixSumFindsWitness) {
   std::vector<std::int64_t> vals{3, -1, -4, 2, -7, 10};
   // prefixes: 3, 2, -2, 0, -7, 3 -> min -7 at index 4
   Runtime rt = make_rt(64);
-  const auto r = min_prefix_sum(rt, vals);
-  EXPECT_EQ(r.min_prefix, -7);
-  EXPECT_EQ(r.argmin, 4u);
+  const auto r = segmented_min_prefix_sum(rt, vals, {0, vals.size()});
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].min_prefix, -7);
+  EXPECT_EQ(r[0].argmin, 4u);
 }
 
 TEST(AmpcPrefix, SegmentedMinPrefix) {

@@ -4,8 +4,9 @@
 // function of (input, seed): identical seeds give identical results across
 // runs and across thread schedules. The library earns this by construction —
 // Rng is never seeded from std::random_device or the clock, parallel
-// reductions land in per-slot storage and are reduced sequentially
-// (singleton_interval), and the AMPC tables merge with commutative policies
+// reductions land in per-slot storage and are reduced sequentially (the
+// recursion driver's branch slots, the AMPC tracker's interval slots), and
+// the AMPC tables merge with commutative policies
 // (kMin/kMax) with at most one writer per key where order would matter
 // (msf proposals, heavy-child election). These tests pin that contract so a
 // future "helpful" entropy source or order-dependent reduction breaks CI

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "ampc_algo/mincut_ampc.h"
 #include "exact/stoer_wagner.h"
 #include "graph/generators.h"
 #include "mincut/mincut_recursive.h"
@@ -99,13 +100,16 @@ TEST(ApproxMinCut, RecursionDepthIsDoublyLogarithmic) {
 
 TEST(ApproxMinCut, OracleAndIntervalBackendsAgreeInDistribution) {
   // Same seed -> same contraction orders -> identical results whichever
-  // tracker is used (they compute the same function).
+  // tracker is used: the sequential backend's oracle and the AMPC backend's
+  // interval tracker (Section 4) compute the same function.
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const WGraph g = gen_erdos_renyi(60, 0.15, seed + 90);
-    ApproxMinCutOptions a = fast_opts(seed);
-    ApproxMinCutOptions b = fast_opts(seed);
-    b.use_oracle_tracker = true;
-    EXPECT_EQ(approx_min_cut(g, a).weight, approx_min_cut(g, b).weight);
+    ampc::AmpcMinCutOptions b;
+    b.recursion = fast_opts(seed);
+    const ApproxMinCutResult seq = approx_min_cut(g, fast_opts(seed));
+    const ampc::AmpcMinCutReport par = ampc::ampc_approx_min_cut(g, b);
+    EXPECT_EQ(seq.weight, par.weight);
+    EXPECT_EQ(seq.stats, par.stats);
   }
 }
 

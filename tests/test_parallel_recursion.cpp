@@ -108,8 +108,7 @@ TEST(ParallelRecursion, DisconnectedGuardMatchesSequential) {
 }
 
 TEST(ParallelRecursion, OracleTrackerMatchesSequential) {
-  ApproxMinCutOptions o = base_opts(6);
-  o.use_oracle_tracker = true;
+  const ApproxMinCutOptions o = base_opts(6);
   expect_same_mincut(gen_random_connected(180, 700, 31), o);
 }
 

@@ -1,13 +1,14 @@
 // Parameterized property sweeps (TEST_P): the library's invariants checked
 // across the full (family x seed) grid rather than hand-picked instances.
 //
-//  P1  tracker equivalence      — oracle == interval tracker, any graph
+//  P1  tracker equivalence      — oracle == AMPC interval tracker, any graph
 //  P2  decomposition validity   — Definition 1 + Lemma 10 on any tree
 //  P3  approximation guarantee  — (2+eps) min cut on any connected graph
 //  P4  k-cut guarantee          — (4+eps) for all k on small graphs
 //  P5  Gomory-Hu correctness    — all-pairs cut encoding per seed
 #include <gtest/gtest.h>
 
+#include "ampc_algo/singleton_ampc.h"
 #include "exact/brute_force.h"
 #include "exact/stoer_wagner.h"
 #include "flow/dinic.h"
@@ -54,11 +55,13 @@ WGraph make_graph(const GraphCase& c) {
 
 class TrackerEquivalenceP : public ::testing::TestWithParam<GraphCase> {};
 
+// The interval tracker is Section 4's, run on the AMPC runtime.
 TEST_P(TrackerEquivalenceP, OracleEqualsIntervalTracker) {
   const WGraph g = make_graph(GetParam());
   const ContractionOrder o = make_contraction_order(g, GetParam().seed * 7 + 3);
   const auto oracle = min_singleton_cut_oracle(g, o);
-  const auto interval = min_singleton_cut_interval(g, o);
+  ampc::Runtime rt(ampc::Config::for_problem(g.n + g.m(), 0.5));
+  const auto interval = ampc::ampc_min_singleton_cut(rt, g, o);
   ASSERT_EQ(interval.weight, oracle.weight);
   const auto bag = reconstruct_bag(g, o, interval.rep, interval.time);
   EXPECT_EQ(cut_weight(g, bag), interval.weight);

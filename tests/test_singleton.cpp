@@ -1,8 +1,12 @@
-// The library's central correctness contract: the paper's interval tracker
-// (Sections 3+4) must agree EXACTLY with the small-to-large oracle on the
-// same contraction order, across graph families, weights and seeds.
+// The library's central correctness contract: the paper's tracker
+// (Sections 3+4, run on the AMPC runtime) must agree EXACTLY with the
+// small-to-large oracle on the same contraction order, across graph
+// families, weights and seeds, and its witness must reconstruct.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "ampc_algo/singleton_ampc.h"
 #include "exact/brute_force.h"
 #include "graph/generators.h"
 #include "mincut/singleton.h"
@@ -13,16 +17,14 @@ namespace {
 void expect_trackers_agree(const WGraph& g, std::uint64_t seed) {
   const ContractionOrder o = make_contraction_order(g, seed);
   const SingletonCutResult oracle = min_singleton_cut_oracle(g, o);
-  IntervalTrackerStats stats;
-  const SingletonCutResult interval =
-      min_singleton_cut_interval(g, o, &stats, /*parallel=*/false);
-  ASSERT_EQ(interval.weight, oracle.weight)
+  ampc::Runtime rt(ampc::Config::for_problem(g.n + g.m(), 0.5));
+  const SingletonCutResult got = ampc::ampc_min_singleton_cut(rt, g, o);
+  ASSERT_EQ(got.weight, oracle.weight)
       << "trackers disagree on n=" << g.n << " m=" << g.m()
       << " seed=" << seed;
-  // The interval tracker's witness must reconstruct to a bag of that weight.
-  const auto bag = reconstruct_bag(g, o, interval.rep, interval.time);
-  EXPECT_EQ(cut_weight(g, bag), interval.weight);
-  EXPECT_LE(stats.max_boundary_edges, 2u);  // Lemma 10
+  // The AMPC tracker's witness must reconstruct to a bag of that weight.
+  const auto bag = reconstruct_bag(g, o, got.rep, got.time);
+  EXPECT_EQ(cut_weight(g, bag), got.weight);
 }
 
 TEST(SingletonTrackers, AgreeOnTinyGraphs) {
@@ -120,15 +122,36 @@ TEST(SingletonCut, OracleWitnessReconstructs) {
 }
 
 TEST(SingletonCut, IntervalStatsWithinPaperBounds) {
+  // Lemma 9's memory blowup: at most 2m intervals per decomposition level
+  // and at most lg^2 n + 2 lg n + 2 levels, so O(m log^2 n) in total.
   const WGraph g = gen_erdos_renyi(200, 0.05, 21);
   const ContractionOrder o = make_contraction_order(g, 2);
-  IntervalTrackerStats stats;
-  (void)min_singleton_cut_interval(g, o, &stats);
+  ampc::Runtime rt(ampc::Config::for_problem(g.n + g.m(), 0.5));
+  std::uint64_t intervals = 0;
+  (void)ampc::ampc_min_singleton_cut(rt, g, o, {}, &intervals);
   const double lg = std::log2(200.0);
-  EXPECT_LE(stats.height, static_cast<std::uint32_t>(lg * lg + 2 * lg + 2));
-  // Total memory proxy O((n+m) log^2 n): intervals per level <= 2m.
-  EXPECT_LE(stats.total_intervals,
-            2 * g.m() * static_cast<std::uint64_t>(stats.height));
+  const auto max_height = static_cast<std::uint64_t>(lg * lg + 2 * lg + 2);
+  EXPECT_GT(intervals, 0u);
+  EXPECT_LE(intervals, 2 * g.m() * max_height);
+}
+
+TEST(SingletonCut, OracleBoundaryThroughInfiniteEdgesDoesNotWrap) {
+  // {0} has boundary inf + inf + 3, which a 64-bit running sum wraps to 1.
+  WGraph g;
+  g.n = 5;
+  g.add_edge(0, 1, kInfiniteWeight);
+  g.add_edge(0, 2, kInfiniteWeight);
+  g.add_edge(0, 3, 3);
+  g.add_edge(1, 2, 2);
+  g.add_edge(2, 3, 2);
+  g.add_edge(3, 4, 5);
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    const ContractionOrder o = make_contraction_order(g, seed);
+    const auto r = min_singleton_cut_oracle(g, o);
+    EXPECT_EQ(r.weight, 5u) << "seed " << seed;
+    const auto bag = reconstruct_bag(g, o, r.rep, r.time);
+    EXPECT_EQ(cut_weight(g, bag), r.weight) << "seed " << seed;
+  }
 }
 
 }  // namespace
