@@ -417,6 +417,30 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
   // 7. Group by leader and compress same-timestamp deltas (the S'' sequence
   // of Lemma 14) — a standard O(1/eps) AMPC sort, charged.
   rt.charge_rounds("singleton.group_sort[cited]", 2);
+  // Deltas enter the int64 coverage sums clamped at one more than the
+  // graph's finite weight total. A bag's coverage then reaches the clamp
+  // exactly when its boundary holds a kInfiniteWeight edge, and step 8 maps
+  // such a minimum back to kInfiniteWeight. No finite weight reaches the
+  // clamp, so finite inputs see the same deltas.
+  Weight finite_total = 0;
+  std::uint64_t infinite_edges = 0;
+  for (const WEdge& e : g.edges) {
+    if (e.w == kInfiniteWeight) {
+      ++infinite_edges;
+    } else {
+      finite_total = sat_add(finite_total, e.w);
+    }
+  }
+  constexpr auto kMaxDelta =
+      static_cast<Weight>(std::numeric_limits<std::int64_t>::max());
+  const Weight clamp = std::min(sat_add(finite_total, 1), kMaxDelta);
+  REPRO_CHECK_MSG(
+      static_cast<unsigned __int128>(clamp) * (infinite_edges + 1) <=
+          kMaxDelta,
+      "interval coverage would overflow int64");
+  const auto delta_of = [clamp](Weight w) {
+    return static_cast<std::int64_t>(std::min(w, clamp));
+  };
   struct Event {
     VertexId leader;
     TimeStep t;
@@ -426,10 +450,10 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
   events.reserve(2 * intervals.size());
   for (const auto& iv : intervals) {
     const auto ldr = static_cast<TimeStep>(t_ldr->raw(iv.leader));
-    events.push_back({iv.leader, iv.lo, static_cast<std::int64_t>(iv.w)});
+    events.push_back({iv.leader, iv.lo, delta_of(iv.w)});
     if (iv.hi + 1 <= ldr) {  // closes beyond ldr cannot affect [0, ldr]
       events.push_back({iv.leader, static_cast<TimeStep>(iv.hi + 1),
-                        -static_cast<std::int64_t>(iv.w)});
+                        -delta_of(iv.w)});
     }
   }
   // Group by (leader, t) with two stable counting passes — the model cost of
@@ -477,13 +501,18 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
   for (std::size_t s = 0; s < seg_leader.size(); ++s) {
     const std::int64_t mp = mins[s].min_prefix;
     REPRO_CHECK_MSG(mp >= 0, "negative interval coverage");
-    if (static_cast<Weight>(mp) < best.weight) {
-      best.weight = static_cast<Weight>(mp);
+    const Weight w =
+        static_cast<Weight>(mp) >= clamp ? kInfiniteWeight
+                                         : static_cast<Weight>(mp);
+    if (w < best.weight) {
+      best.weight = w;
       best.rep = seg_leader[s];
       best.time = times_at[offsets[s] + mins[s].argmin];
     }
   }
-  REPRO_CHECK_MSG(best.weight != kInfiniteWeight,
+  // A bag of infinite boundary is no witness: with every bag infinite the
+  // result is kInfiniteWeight with no rep, as from the oracle.
+  REPRO_CHECK_MSG(!seg_leader.empty(),
                   "no proper bag found on a connected graph");
   return best;
 }

@@ -31,8 +31,6 @@ AmpcRootedTree ampc_root_tree(Runtime& rt, VertexId n,
   // grouping is a sort by tail — a standard O(1/eps) AMPC sample sort, run
   // driver-side and charged (DESIGN.md round-accounting policy).
   rt.charge_rounds("euler.sort[cited]", 2);
-  std::vector<std::uint64_t> arc_order(num_arcs);
-  std::iota(arc_order.begin(), arc_order.end(), 0);
   auto tail_of = [&](std::uint64_t a) {
     const WEdge& e = edges[a / 2];
     return (a % 2 == 0) ? e.u : e.v;
@@ -41,31 +39,21 @@ AmpcRootedTree ampc_root_tree(Runtime& rt, VertexId n,
     const WEdge& e = edges[a / 2];
     return (a % 2 == 0) ? e.v : e.u;
   };
-  // Stable by tail + ascending arc ids = the (tail, arc) order the old
-  // comparison sort produced.
-  psort::stable_sort_keys(&ThreadPool::shared(), arc_order,
-                          [&](std::uint64_t a, std::uint64_t b) {
-                            return tail_of(a) < tail_of(b);
-                          });
-  std::vector<std::uint64_t> arc_pos(num_arcs);      // arc -> CSR slot
-  std::vector<std::uint64_t> csr_arc(num_arcs);      // CSR slot -> arc
-  std::vector<std::uint64_t> first_slot(n + 1, 0);
-  for (std::uint64_t s = 0; s < num_arcs; ++s) {
-    const std::uint64_t a = arc_order[s];
-    arc_pos[a] = s;
-    csr_arc[s] = a;
-    ++first_slot[tail_of(a)];
-  }
-  // Exclusive scan of per-tail degrees gives the CSR offsets; the trailing
-  // zero slot picks up the total, matching the old shifted partial_sum.
-  (void)psort::exclusive_scan(&ThreadPool::shared(), first_slot);
+  // A stable counting sort of the ascending arc ids by tail gives the
+  // (tail, arc) order, and its group offsets are the CSR offsets.
+  std::vector<std::uint64_t> arc_ids(num_arcs);
+  std::iota(arc_ids.begin(), arc_ids.end(), 0);
+  std::vector<std::uint64_t> csr_arc(num_arcs);  // CSR slot -> arc
+  std::vector<std::size_t> first_slot;           // tail -> first CSR slot
+  psort::radix_rank(&ThreadPool::shared(), arc_ids.data(), csr_arc.data(),
+                    num_arcs, n, tail_of, &first_slot);
 
   auto t_arc_pos = rt.lease_dense<std::uint64_t>("euler.arc_pos", num_arcs);
   auto t_csr = rt.lease_dense<std::uint64_t>("euler.csr", num_arcs);
   auto t_first = rt.lease_dense<std::uint64_t>("euler.first", n + 1);
-  for (std::uint64_t a = 0; a < num_arcs; ++a) {
-    t_arc_pos->seed(a, arc_pos[a]);
-    t_csr->seed(a, csr_arc[a]);
+  for (std::uint64_t s = 0; s < num_arcs; ++s) {
+    t_arc_pos->seed(csr_arc[s], s);
+    t_csr->seed(s, csr_arc[s]);
   }
   for (std::uint64_t v = 0; v <= n; ++v) t_first->seed(v, first_slot[v]);
 

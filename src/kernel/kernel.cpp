@@ -196,7 +196,7 @@ class Reducer {
       const WEdge ed2 = cur_.edges[e2];
       const VertexId a = ed1.u == v ? ed1.v : ed1.u;
       const VertexId b = ed2.u == v ? ed2.v : ed2.u;
-      record_candidate(ed1.w + ed2.w, members_[v]);
+      record_candidate(sat_add(ed1.w, ed2.w), members_[v]);
       edge_alive[e1] = 0;
       edge_alive[e2] = 0;
       vert_alive[v] = 0;
@@ -279,7 +279,7 @@ class Reducer {
           const VertexId t = arcs[i].to;
           Weight sum = 0;
           while (i < arcs.size() && arcs[i].v == v && arcs[i].to == t) {
-            sum += arcs[i].w;
+            sum = sat_add(sum, arcs[i].w);
             ++i;
           }
           nbr.push_back(t);
@@ -290,7 +290,9 @@ class Reducer {
     }
     std::vector<Weight> wdeg(n, 0);
     for (VertexId v = 0; v < n; ++v) {
-      for (std::size_t i = start[v]; i < start[v + 1]; ++i) wdeg[v] += nw[i];
+      for (std::size_t i = start[v]; i < start[v + 1]; ++i) {
+        wdeg[v] = sat_add(wdeg[v], nw[i]);
+      }
     }
 
     // Seed the upper bound with the minimum weighted degree (smallest id on
@@ -334,7 +336,7 @@ class Reducer {
             } else if (tv < tu) {
               ++jv;
             } else {
-              cert += std::min(nw[iu], nw[jv]);
+              cert = sat_add(cert, std::min(nw[iu], nw[jv]));
               ++iu;
               ++jv;
             }

@@ -15,12 +15,13 @@
 //  * radix_rank — stable parallel counting sort ("rank by bounded integer
 //    key"): per-block histograms, one key-major offset scan, per-block
 //    stable scatter. Optionally reports the per-key group offsets, for
-//    callers that group items by key. No library layer calls it today; its
-//    tests and bench_micro_primitives do.
+//    callers that group items by key: ampc_root_tree builds its Euler-tour
+//    arc CSR with it, the offsets serving as the CSR offsets.
 //  * exclusive_scan — parallel exclusive prefix sum over unsigned integers
 //    (block sums, sequential block-sum scan, parallel rewrite). Unsigned
 //    addition is associative mod 2^w, so the parallel decomposition is
-//    bit-identical to the sequential running sum.
+//    bit-identical to the sequential running sum. No library layer calls
+//    it today; its tests and bench_micro_primitives do.
 //
 // Sequential fallback: pool == nullptr, a 1-thread pool, or inputs below
 // kSeqCutoff run the plain sequential algorithm inline on the caller —

@@ -146,6 +146,32 @@ TEST(AmpcSingleton, MatchesOracleOnWeightedAndStructured) {
   }
 }
 
+TEST(AmpcSingleton, InfiniteEdgesMatchOracle) {
+  // {0} has boundary inf + inf + 3: its coverage must saturate, not enter
+  // the interval sums as two -1 deltas.
+  WGraph g;
+  g.n = 5;
+  g.add_edge(0, 1, kInfiniteWeight);
+  g.add_edge(0, 2, kInfiniteWeight);
+  g.add_edge(0, 3, 3);
+  g.add_edge(1, 2, 2);
+  g.add_edge(2, 3, 2);
+  g.add_edge(3, 4, 5);
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    const ContractionOrder o = make_contraction_order(g, seed);
+    EXPECT_EQ(min_singleton_cut_oracle(g, o).weight, 5u) << "seed " << seed;
+    expect_ampc_tracker_matches(g, seed);
+  }
+  // Every bag infinite: no witness, as from the oracle.
+  WGraph all_inf = gen_complete(4);
+  for (WEdge& e : all_inf.edges) e.w = kInfiniteWeight;
+  const ContractionOrder o = make_contraction_order(all_inf, 0);
+  Runtime rt = make_rt(all_inf.n + all_inf.m());
+  const SingletonCutResult got = ampc_min_singleton_cut(rt, all_inf, o);
+  EXPECT_EQ(got.weight, kInfiniteWeight);
+  EXPECT_EQ(got.rep, min_singleton_cut_oracle(all_inf, o).rep);
+}
+
 TEST(AmpcSingleton, BoruvkaMsfVariantAgrees) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const WGraph g = gen_erdos_renyi(30, 0.25, seed + 200);

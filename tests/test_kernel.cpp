@@ -5,6 +5,7 @@
 // bit-identity of the whole KernelResult (the tsan CI job runs this file).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "graph/generators.h"
 #include "kernel/front.h"
 #include "kernel/kernel.h"
+#include "support/rng.h"
 #include "support/threadpool.h"
 
 namespace ampccut {
@@ -263,6 +265,51 @@ WGraph zoo_case(std::uint64_t i) {
   }
   if (i % 2 == 1) randomize_weights(g, 7, seed + 1);
   return g;
+}
+
+// The certified-contraction sums (parallel-arc weights, weighted degrees,
+// the rule-3 certificate) saturate at kInfiniteWeight instead of wrapping.
+TEST(Kernel, CertifiedSumsSaturate) {
+  WGraph tri;
+  tri.n = 3;
+  tri.add_edge(0, 1, kInfiniteWeight);
+  tri.add_edge(1, 2, kInfiniteWeight);
+  tri.add_edge(0, 2, kInfiniteWeight);
+  const KernelResult kt = kernelize(tri, kernel::enabled_defaults());
+  EXPECT_EQ(kt.map.candidate_weight, kInfiniteWeight);
+
+  // K5 with weight 10, except w(0,1) = 3 and w(0,2) = w(1,2) = inf. Rule 3
+  // certifies (0, 1) through the infinite path 0-2-1: 3 + inf saturates
+  // past the bound 40, where a wrapped sum (2 + 10 + 10) would not.
+  WGraph k5 = gen_complete(5);
+  for (WEdge& e : k5.edges) {
+    const bool to_two = std::min(e.u, e.v) < 2 && std::max(e.u, e.v) == 2;
+    e.w = to_two ? kInfiniteWeight : (e.u + e.v == 1 ? 3 : 10);
+  }
+  KernelOptions one_pass = no_peel();
+  one_pass.max_passes = 1;
+  const KernelResult k1 = kernelize(k5, one_pass);
+  EXPECT_EQ(k1.map.kernel_of[0], k1.map.kernel_of[1]);
+
+  // Mixed finite/infinite graphs: the kernel pipeline stays exact.
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    WGraph g = gen_erdos_renyi(8 + static_cast<VertexId>(seed % 5), 0.6,
+                               seed + 11);
+    randomize_weights(g, 9, seed);
+    Rng rng(seed);
+    for (WEdge& e : g.edges) {
+      if (rng.next_below(3) == 0) e.w = kInfiniteWeight;
+    }
+    const KernelResult kr = kernelize(g, kernel::enabled_defaults());
+    const MinCutResult r = kr.solved()
+                               ? kr.resolved_cut()
+                               : kr.map.unpack(stoer_wagner_min_cut(kr.kernel));
+    const Weight truth = brute_force_min_cut(g).weight;
+    EXPECT_EQ(r.weight, truth) << "seed " << seed;
+    if (truth != kInfiniteWeight) {
+      EXPECT_EQ(cut_weight(g, r.side), truth) << "seed " << seed;
+    }
+  }
 }
 
 TEST(KernelRoundTrip, UnpackedCutMatchesOriginalMinCutOnZoo) {

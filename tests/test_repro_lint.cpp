@@ -240,6 +240,32 @@ TEST(ReproLintDcheck, AllowlistedTwinIsSuppressed) {
 }
 
 // ---------------------------------------------------------------------------
+// weight-add
+
+TEST(ReproLintWeightAdd, FiresOnlyUnderSrc) {
+  const Report in_src = lint_as("src/fixture.cpp", "weight_add_violation.cpp");
+  EXPECT_EQ(lines_of(in_src, kWeightAdd), (IntVec{8, 9, 11}));
+  EXPECT_EQ(in_src.findings.size(), 3u);
+
+  const Report in_tests =
+      lint_as("tests/fixture.cpp", "weight_add_violation.cpp");
+  EXPECT_TRUE(in_tests.findings.empty()) << in_tests.to_json().dump();
+}
+
+TEST(ReproLintWeightAdd, CleanTwinIsSilent) {
+  const Report r = lint_as("src/fixture.cpp", "weight_add_clean.cpp");
+  EXPECT_TRUE(r.findings.empty()) << r.to_json().dump();
+}
+
+TEST(ReproLintWeightAdd, AllowlistedTwinIsSuppressed) {
+  const Report r = lint_as("src/fixture.cpp", "weight_add_allowed.cpp");
+  EXPECT_TRUE(r.findings.empty()) << r.to_json().dump();
+  ASSERT_EQ(r.allowed.size(), 1u);
+  EXPECT_EQ(r.allowed[0].check, kWeightAdd);
+  EXPECT_EQ(r.allowed[0].line, 8);
+}
+
+// ---------------------------------------------------------------------------
 // Directive machinery
 
 TEST(ReproLintDirectives, MalformedDirectivesAreFindings) {

@@ -584,6 +584,93 @@ void check_dcheck_side_effect(Scanner& s) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Check 6: weight-add (src/ only)
+
+std::size_t skip_spaces(const std::string& text, std::size_t q) {
+  while (q < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[q])) != 0) {
+    ++q;
+  }
+  return q;
+}
+
+// The identifier (or the single punctuation character) that ends before
+// `pos`, skipping spaces.
+std::string word_before(const std::string& text, std::size_t pos) {
+  std::size_t e = pos;
+  while (e > 0 && std::isspace(static_cast<unsigned char>(text[e - 1])) != 0) {
+    --e;
+  }
+  if (e == 0) return {};
+  if (!is_ident_char(text[e - 1])) return std::string(1, text[e - 1]);
+  std::size_t b = e;
+  while (b > 0 && is_ident_char(text[b - 1])) --b;
+  return text.substr(b, e - b);
+}
+
+// Identifiers declared `Weight x` or `std::vector<Weight> x` (references,
+// pointers, parameters and range-for variables included). `Weight f(` is a
+// function, not a name.
+std::vector<std::string> weight_names(const std::string& blob) {
+  std::vector<std::string> names;
+  for (std::size_t p = find_word(blob, "Weight"); p != std::string::npos;
+       p = find_word(blob, "Weight", p + 1)) {
+    std::size_t q = p + 6;
+    const bool in_vector = word_before(blob, p) == "<" &&
+                           word_before(blob, blob.rfind('<', p)) == "vector";
+    if (in_vector) {
+      q = skip_spaces(blob, q);
+      if (q >= blob.size() || blob[q] != '>') continue;
+      ++q;
+    }
+    while (q < blob.size() && (blob[q] == '&' || blob[q] == '*' ||
+                               std::isspace(static_cast<unsigned char>(
+                                   blob[q])) != 0)) {
+      ++q;
+    }
+    std::size_t e = q;
+    while (e < blob.size() && is_ident_char(blob[e])) ++e;
+    if (e == q) continue;
+    const std::string name = blob.substr(q, e - q);
+    if (name == "const") continue;
+    const std::size_t after = skip_spaces(blob, e);
+    if (!in_vector && after < blob.size() && blob[after] == '(') continue;
+    names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  return names;
+}
+
+void check_weight_add(Scanner& s) {
+  if (!in_src(s.f.path)) return;
+  const std::vector<std::string> names = weight_names(s.f.blob);
+  if (names.empty()) return;
+  for (std::size_t i = 0; i < s.f.code_lines.size(); ++i) {
+    const std::string& line = s.f.code_lines[i];
+    for (std::size_t p = line.find("+="); p != std::string::npos;
+         p = line.find("+=", p + 2)) {
+      // The lvalue's base name: step back over one subscript, if any.
+      std::size_t e = p;
+      if (word_before(line, e) == "]") {
+        int depth = 0;
+        for (e = line.rfind(']', e); e > 0; --e) {
+          if (line[e] == ']') ++depth;
+          if (line[e] == '[' && --depth == 0) break;
+        }
+      }
+      const std::string base = word_before(line, e);
+      if (std::find(names.begin(), names.end(), base) != names.end()) {
+        s.emit(kWeightAdd, static_cast<int>(i) + 1,
+               "raw += on Weight '" + base +
+                   "' — kInfiniteWeight operands wrap; use sat_add");
+        break;  // one finding per line
+      }
+    }
+  }
+}
+
 void report_unused_directives(Scanner& s) {
   for (const Directive& d : s.directives) {
     if (d.used) continue;
@@ -722,6 +809,7 @@ void scan_file(const std::string& path, std::string_view contents,
   check_rng_discipline(s);
   check_comparator_tiebreak(s);
   check_dcheck_side_effect(s);
+  check_weight_add(s);
   report_unused_directives(s);
 }
 

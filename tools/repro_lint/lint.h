@@ -37,6 +37,9 @@
 //   dcheck-side-effect  REPRO_DCHECK whose argument mutates state (++/--,
 //                       assignment, known-mutating calls) — NDEBUG compiles
 //                       the expression out, silently changing behavior.
+//   weight-add          `+=` in src/ on a name declared `Weight` or
+//                       `std::vector<Weight>` in the same file — a
+//                       kInfiniteWeight operand wraps the sum; use sat_add.
 //   bad-allow           malformed directive: unknown check id or missing
 //                       justification.
 //   unused-allow        well-formed directive that suppressed nothing.
@@ -57,13 +60,14 @@ inline constexpr std::string_view kIterationOrder = "iteration-order";
 inline constexpr std::string_view kRngDiscipline = "rng-discipline";
 inline constexpr std::string_view kComparatorTiebreak = "comparator-tiebreak";
 inline constexpr std::string_view kDcheckSideEffect = "dcheck-side-effect";
+inline constexpr std::string_view kWeightAdd = "weight-add";
 inline constexpr std::string_view kBadAllow = "bad-allow";
 inline constexpr std::string_view kUnusedAllow = "unused-allow";
 
 inline constexpr std::string_view kAllChecks[] = {
     kRawSort,         kIterationOrder,    kRngDiscipline,
-    kComparatorTiebreak, kDcheckSideEffect, kBadAllow,
-    kUnusedAllow,
+    kComparatorTiebreak, kDcheckSideEffect, kWeightAdd,
+    kBadAllow,        kUnusedAllow,
 };
 
 struct Finding {
@@ -98,8 +102,8 @@ struct Report {
 [[nodiscard]] std::string strip_comments_and_strings(std::string_view source);
 
 // Scans one file's contents. `path` drives per-path exemptions (psort.* for
-// raw-sort, rng.h for rng-discipline, src/-scoping for iteration-order) and
-// is copied into findings verbatim; use '/' separators.
+// raw-sort, rng.h for rng-discipline, src/-scoping for iteration-order and
+// weight-add) and is copied into findings verbatim; use '/' separators.
 void scan_file(const std::string& path, std::string_view contents,
                Report& report);
 
