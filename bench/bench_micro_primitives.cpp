@@ -23,7 +23,6 @@
 #include "support/psort.h"
 #include "support/rng.h"
 #include "support/threadpool.h"
-#include "tree/hld.h"
 
 using namespace ampccut;
 using namespace ampccut::bench;
@@ -265,34 +264,6 @@ void bench_segmented_min_prefix(Harness& h, std::uint64_t n) {
   h.record(std::move(r), n);
 }
 
-void bench_path_max_query(Harness& h, std::uint64_t n) {
-  const WGraph g = gen_random_tree(static_cast<VertexId>(n), 3);
-  std::vector<TimeStep> times(g.edges.size());
-  for (std::size_t i = 0; i < times.size(); ++i)
-    times[i] = static_cast<TimeStep>(i + 1);
-  const RootedTree rt = build_rooted_tree(static_cast<VertexId>(n), g.edges,
-                                          times, 0);
-  const HeavyLight hl = build_heavy_light(rt);
-  const PathMax pm(rt, hl);
-  constexpr std::uint64_t kQueries = 1 << 12;
-  std::uint64_t sink = 0;
-  BenchResult r;
-  r.name = "path_max_query";
-  r.group = "exact";
-  const Timed timed = run_timed(kQueries, h.topt, [&] {
-    Rng rng(7);
-    for (std::uint64_t q = 0; q < kQueries; ++q) {
-      const auto u = static_cast<VertexId>(rng.next_below(n));
-      const auto v = static_cast<VertexId>(rng.next_below(n));
-      sink += pm.query(u, v);
-    }
-  });
-  r.ns_per_op = timed.ns_per_op;
-  r.iterations = timed.iterations;
-  r.extra["sink"] = static_cast<double>(sink % 1024);
-  h.record(std::move(r), n);
-}
-
 // Deterministic parallel sort/partition primitives (support/psort.h), the
 // host-side layer under the clock ranking / CSR grouping / interval sweeps.
 // ns_per_op is the shared-pool (hardware-thread) run; extra carries the
@@ -357,30 +328,6 @@ void bench_psort_radix_rank(Harness& h, std::uint64_t n) {
   });
   BenchResult r;
   r.name = "psort_radix_rank";
-  r.group = "exact";
-  r.ns_per_op = par.ns_per_op;
-  r.iterations = par.iterations;
-  r.extra["t1_ns_per_op"] = one.ns_per_op;
-  r.extra["speedup_vs_t1"] = one.ns_per_op / std::max(1e-9, par.ns_per_op);
-  h.record(std::move(r), n);
-}
-
-// The scan mutates in place, but its cost is value-independent (unsigned
-// adds), so timed reps just re-scan the evolving buffer — no copy-in to
-// pollute the per-op estimate.
-void bench_psort_exclusive_scan(Harness& h, std::uint64_t n) {
-  Rng rng(13);
-  std::vector<std::uint64_t> work(n);
-  for (auto& v : work) v = rng.next_below(1 << 10);
-  ThreadPool seq(1);
-  const Timed par = run_timed(n, h.topt, [&] {
-    (void)psort::exclusive_scan(&ThreadPool::shared(), work);
-  });
-  const Timed one = run_timed(n, h.topt, [&] {
-    (void)psort::exclusive_scan(&seq, work);
-  });
-  BenchResult r;
-  r.name = "psort_exclusive_scan";
   r.group = "exact";
   r.ns_per_op = par.ns_per_op;
   r.iterations = par.iterations;
@@ -471,7 +418,6 @@ int main(int argc, char** argv) {
                                                                 1 << 19}) {
     bench_psort_stable_sort(h, n);
     bench_psort_radix_rank(h, n);
-    bench_psort_exclusive_scan(h, n);
   }
 
   const bool smoke = mode == Mode::kSmoke;
@@ -484,11 +430,6 @@ int main(int argc, char** argv) {
                                      : std::vector<std::uint64_t>{1 << 12,
                                                                   1 << 16}) {
     bench_segmented_min_prefix(h, n);
-  }
-  for (const std::uint64_t n : smoke ? std::vector<std::uint64_t>{1 << 12}
-                                     : std::vector<std::uint64_t>{1 << 12,
-                                                                  1 << 16}) {
-    bench_path_max_query(h, n);
   }
   for (const std::uint64_t n : smoke ? std::vector<std::uint64_t>{1 << 10}
                                      : std::vector<std::uint64_t>{1 << 10,

@@ -3,16 +3,15 @@
 //
 //   serve_build        — CutServer construction (kernel merge + Gusfield's
 //                        n-1 max-flows + snapshot indexing), ns per build.
-//   serve_query        — single-shot query() with the cache DISABLED: the
-//                        raw O(tree path) hot path. extra.queries_per_sec is
-//                        the headline serving number.
-//   serve_query_cache  — the same pair list with the sharded LRU on; after
-//                        the first rep every lookup hits, so the minimum-
-//                        over-reps estimator reports the hit path.
-//                        extra.hit_rate is measured, not assumed.
-//   serve_query_batch  — query_batch() fan-out on the pool (--threads, 0 =
-//                        hardware concurrency). Answers are bit-identical to
-//                        sequential; only wall time may move.
+//   serve_query        — single-shot query(): the O(tree path) hot path.
+//                        extra.queries_per_sec is the headline serving
+//                        number.
+//   serve_query_batch  — query_batch() on the pool (--threads, 0 = hardware
+//                        concurrency), at two sizes: the full pair list,
+//                        which fans out over several blocks, and a 96-pair
+//                        batch (cutbench serve-mixed's size), which is one
+//                        block served inline on the caller. Answers are
+//                        bit-identical to sequential; only wall time moves.
 //   serve_rebuild      — update_graph(): full rebuild + atomic swap, the
 //                        cost of freshness while readers keep answering.
 //
@@ -62,22 +61,27 @@ int main(int argc, char** argv) {
     sizes = {128, 256};
   }
   const std::size_t num_pairs = mode == Mode::kSmoke ? 1024 : 4096;
+  // One block of query_batch_on: timed as kSmallBatchReps back-to-back
+  // batches per rep so a rep is long enough for the clock.
+  constexpr std::size_t kSmallBatch = 96;
+  constexpr std::size_t kSmallBatchReps = 64;
 
   std::printf("Serving tier — queries/sec off one Gomory–Hu snapshot "
               "(threads=%zu)\n\n", pool.num_threads());
-  TablePrinter table({"n", "m", "build_ms", "query_qps", "cached_qps",
-                      "batch_qps", "rebuild_ms", "hit_rate"});
+  TablePrinter table({"n", "m", "build_ms", "query_qps", "batch_qps",
+                      "batch96_qps", "rebuild_ms"});
 
   for (const VertexId n : sizes) {
     const WGraph g = gen_random_connected(n, 4 * static_cast<std::size_t>(n),
                                           1000 + n);
     const auto pairs = make_pairs(n, num_pairs, 77 + n);
+    const std::vector<serve::QueryPair> small_batch(
+        pairs.begin(), pairs.begin() + std::ptrdiff_t{kSmallBatch});
 
     // serve_build: construction through to the published snapshot.
     serve::CutServerOptions build_opt;
     build_opt.pool = &pool;
     build_opt.kernel = kernel::enabled_defaults();
-    build_opt.cache_capacity = 0;
     const Timed built = run_timed(1, topt, [&] {
       serve::CutServer one_shot(g, build_opt);
       (void)one_shot.snapshot();
@@ -93,66 +97,57 @@ int main(int argc, char** argv) {
       rep.add(std::move(r));
     }
 
-    // Long-lived servers for the query-path measurements.
-    serve::CutServerOptions nocache_opt = build_opt;
-    serve::CutServer nocache(g, nocache_opt);
-    serve::CutServerOptions cache_opt = build_opt;
-    cache_opt.cache_capacity = 2 * num_pairs;  // the working set fits
-    serve::CutServer cached(g, cache_opt);
+    // A long-lived server for the query-path measurements.
+    serve::CutServer server(g, build_opt);
 
     const Timed plain = run_timed(pairs.size(), topt, [&] {
       Weight sink = 0;
-      for (const auto& p : pairs) sink ^= nocache.query(p.s, p.t);
+      for (const auto& p : pairs) sink ^= server.query(p.s, p.t);
       if (sink == static_cast<Weight>(-2)) std::printf("impossible\n");
     });
-    const Timed hit = run_timed(pairs.size(), topt, [&] {
-      Weight sink = 0;
-      for (const auto& p : pairs) sink ^= cached.query(p.s, p.t);
-      if (sink == static_cast<Weight>(-2)) std::printf("impossible\n");
-    });
-    const auto cache_stats = cached.stats();
-    const double hit_rate =
-        static_cast<double>(cache_stats.cache_hits) /
-        static_cast<double>(cache_stats.cache_hits + cache_stats.cache_misses);
     const Timed batch = run_timed(pairs.size(), topt, [&] {
-      const auto answers = nocache.query_batch(pairs);
+      const auto answers = server.query_batch(pairs);
       if (answers.size() != pairs.size()) std::printf("impossible\n");
     });
-    const Timed rebuild = run_timed(1, topt, [&] { nocache.update_graph(g); });
+    const Timed small = run_timed(kSmallBatch * kSmallBatchReps, topt, [&] {
+      for (std::size_t i = 0; i < kSmallBatchReps; ++i) {
+        const auto answers = server.query_batch(small_batch);
+        if (answers.size() != kSmallBatch) std::printf("impossible\n");
+      }
+    });
+    const Timed rebuild = run_timed(1, topt, [&] { server.update_graph(g); });
 
     const double query_qps = 1e9 / plain.ns_per_op;
-    const double cached_qps = 1e9 / hit.ns_per_op;
     const double batch_qps = 1e9 / batch.ns_per_op;
+    const double small_qps = 1e9 / small.ns_per_op;
     table.add_row({fmt_u(n), fmt_u(g.m()), fmt(built.ns_per_op / 1e6),
-                   fmt(query_qps, 0), fmt(cached_qps, 0), fmt(batch_qps, 0),
-                   fmt(rebuild.ns_per_op / 1e6), fmt(hit_rate, 3)});
+                   fmt(query_qps, 0), fmt(batch_qps, 0), fmt(small_qps, 0),
+                   fmt(rebuild.ns_per_op / 1e6)});
 
-    const auto add_query_result = [&](const char* name, const Timed& t,
-                                      double qps) {
+    const auto add_query_result = [&](const char* name, std::size_t count,
+                                      const Timed& t, double qps) {
       BenchResult r;
       r.name = name;
       r.group = "exact";
       r.params["n"] = n;
       r.params["m"] = static_cast<std::int64_t>(g.m());
-      r.params["pairs"] = static_cast<std::int64_t>(pairs.size());
+      r.params["pairs"] = static_cast<std::int64_t>(count);
       r.ns_per_op = t.ns_per_op;
       r.iterations = t.iterations;
       r.extra["queries_per_sec"] = qps;
       return r;
     };
-    rep.add(add_query_result("serve_query", plain, query_qps));
-    {
-      BenchResult r = add_query_result("serve_query_cache", hit, cached_qps);
-      r.extra["hit_rate"] = hit_rate;
-      rep.add(std::move(r));
-    }
-    {
-      BenchResult r = add_query_result("serve_query_batch", batch, batch_qps);
+    rep.add(add_query_result("serve_query", pairs.size(), plain, query_qps));
+    const auto add_batch_result = [&](std::size_t count, const Timed& t,
+                                      double qps) {
+      BenchResult r = add_query_result("serve_query_batch", count, t, qps);
       // Extra, not params: the pool width is the recording machine's core
       // count, and must not change the row's identity across machines.
       r.extra["threads"] = static_cast<double>(pool.num_threads());
       rep.add(std::move(r));
-    }
+    };
+    add_batch_result(pairs.size(), batch, batch_qps);
+    add_batch_result(kSmallBatch, small, small_qps);
     {
       BenchResult r;
       r.name = "serve_rebuild";

@@ -21,9 +21,9 @@ namespace bp = binpath;
 // Path-max over MST contraction times: HLD + sparse tables stored in dense
 // DHT tables (build cost charged per Theorem 4 [5]; queries are measured
 // adaptive reads, O(log n) of them per query).
-class AmpcPathMax {
+class AmpcHldRmq {
  public:
-  AmpcPathMax(Runtime& rt, const AmpcRootedTree& tree,
+  AmpcHldRmq(Runtime& rt, const AmpcRootedTree& tree,
               const AmpcDecomposition& d)
       : n_(tree.n) {
     rt.charge_rounds("hld_rmq.build[cited Thm 4]",
@@ -188,7 +188,7 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
   const std::uint32_t h = d.height;
 
   // 3. Path-max structure.
-  const AmpcPathMax pm(rt, tree, d);
+  const AmpcHldRmq pm(rt, tree, d);
 
   // Geometry tables for the walks.
   auto t_label = rt.lease_dense<std::uint64_t>("sc.label", n);

@@ -12,7 +12,6 @@ namespace ampccut::serve {
 CutServer::CutServer(WGraph g, CutServerOptions opt)
     : opt_(std::move(opt)),
       pool_(opt_.pool != nullptr ? opt_.pool : &ThreadPool::shared()),
-      cache_(opt_.cache_shards, opt_.cache_capacity),
       arena_(pool_) {
   REPRO_CHECK_MSG(g.n >= 1, "CutServer needs at least one vertex");
   g.validate();
@@ -27,7 +26,7 @@ SnapshotPtr CutServer::snapshot() const {
 
 Weight CutServer::query(VertexId s, VertexId t) {
   const SnapshotPtr snap = snapshot();
-  const Weight w = cached_query(*snap, s, t);
+  const Weight w = snap->query(s, t);
   queries_.fetch_add(1, std::memory_order_relaxed);
   return w;
 }
@@ -43,30 +42,20 @@ std::vector<Weight> CutServer::query_batch_on(
   REPRO_CHECK(snap != nullptr);
   std::vector<Weight> out(pairs.size());
   // Block-partitioned fan-out: disjoint result slots, deterministic content.
-  const std::size_t grain = 64;
+  // A batch of one block runs inline on the caller (parallel_for's count-1
+  // path). The grain comes from a batch-size sweep: BENCHMARKS.md "Serving
+  // batch grain", DESIGN.md "Cut-query serving tier" decision 4.
+  const std::size_t grain = 1024;
   const std::size_t blocks = (pairs.size() + grain - 1) / grain;
   pool_->parallel_for(blocks, [&](std::size_t b) {
     const std::size_t lo = b * grain;
     const std::size_t hi = std::min(lo + grain, pairs.size());
     for (std::size_t i = lo; i < hi; ++i) {
-      out[i] = cached_query(*snap, pairs[i].s, pairs[i].t);
+      out[i] = snap->query(pairs[i].s, pairs[i].t);
     }
   });
   batch_queries_.fetch_add(pairs.size(), std::memory_order_relaxed);
   return out;
-}
-
-Weight CutServer::cached_query(const Snapshot& snap, VertexId s, VertexId t) {
-  if (!cache_.enabled()) return snap.query(s, t);
-  const AnswerCache::Key key = AnswerCache::make_key(snap.epoch(), s, t);
-  Weight cached = 0;
-  if (cache_.lookup(key, &cached)) return cached;
-  // snap.query validates (s, t); an InvalidQueryError propagates before the
-  // miss can be inserted, so poison pairs never occupy cache slots. The miss
-  // was already counted — a rejected query still consulted the cache.
-  const Weight w = snap.query(s, t);
-  cache_.insert(key, w);
-  return w;
 }
 
 void CutServer::update_graph(WGraph g) {
@@ -166,10 +155,6 @@ ServeStats CutServer::stats() const {
   ServeStats s;
   s.queries = queries_.load(std::memory_order_relaxed);
   s.batch_queries = batch_queries_.load(std::memory_order_relaxed);
-  const CacheStats c = cache_.stats();
-  s.cache_hits = c.hits;
-  s.cache_misses = c.misses;
-  s.cache_evictions = c.evictions;
   s.rebuilds = rebuilds_.load(std::memory_order_relaxed);
   s.snapshots_published = snapshots_published_.load(std::memory_order_relaxed);
   s.build_retries = build_retries_.load(std::memory_order_relaxed);

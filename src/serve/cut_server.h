@@ -33,12 +33,12 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "ampc/fault.h"
 #include "ampc/runtime.h"
 #include "kernel/kernel.h"
-#include "serve/answer_cache.h"
 #include "serve/snapshot.h"
 #include "support/threadpool.h"
 
@@ -55,9 +55,6 @@ struct CutServerOptions {
   // parallel-edge merge before the flows (header comment); the per-rule
   // toggles beyond `enabled` are ignored by design.
   kernel::KernelOptions kernel;
-  // Answer cache (serve/answer_cache.h). capacity == 0 disables it.
-  std::uint32_t cache_shards = 8;
-  std::size_t cache_capacity = 4096;
   // Pool for batch fan-out and build-time sorts (nullptr = the shared pool).
   // Never affects answers, only wall time.
   ThreadPool* pool = nullptr;
@@ -66,14 +63,15 @@ struct CutServerOptions {
   ampc::RetryPolicy retry;
 };
 
-// Monotonic serving counters. hits + misses counts exactly the queries that
-// consulted an enabled cache; queries/batch_queries count answers served.
+// Monotonic serving counters; queries/batch_queries count answers served.
 struct ServeStats {
   std::uint64_t queries = 0;        // single-shot query() answers
   std::uint64_t batch_queries = 0;  // answers served through query_batch()
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
+  // The server has no answer cache. These three fields stay only because
+  // cutbench's serve-mixed still reads them (ROADMAP item 3a).
+  std::uint64_t cache_hits = 0;       // inert, always 0
+  std::uint64_t cache_misses = 0;     // inert, always 0
+  std::uint64_t cache_evictions = 0;  // inert, always 0
   std::uint64_t rebuilds = 0;             // update_graph() successes
   std::uint64_t snapshots_published = 0;  // including the constructor's
   std::uint64_t build_retries = 0;        // fault-discarded build attempts
@@ -92,21 +90,21 @@ class CutServer {
   // Pins the current snapshot: one atomic load, never blocks, never null.
   [[nodiscard]] SnapshotPtr snapshot() const;
 
-  // s-t min cut through the cache (when enabled) against the current
-  // snapshot. Throws InvalidQueryError on a bad pair.
+  // s-t min cut against the current snapshot. Throws InvalidQueryError on a
+  // bad pair.
   Weight query(VertexId s, VertexId t);
 
-  // Batch variant: fans out over the pool (ThreadPool::TaskGroup machinery
-  // underneath parallel_for) with every answer resolved against ONE pinned
-  // snapshot, so a batch is internally consistent even while update_graph()
-  // swaps epochs mid-flight. Order of results matches `pairs`; answers are
-  // bit-identical to issuing the queries sequentially.
+  // Batch variant: every answer is resolved against ONE pinned snapshot, so
+  // a batch is internally consistent even while update_graph() swaps epochs
+  // mid-flight. Pairs are served in blocks of a fixed grain over the pool's
+  // parallel_for; a batch of one block runs inline on the caller. Order of
+  // results matches `pairs`; answers are bit-identical to issuing the
+  // queries sequentially.
   std::vector<Weight> query_batch(const std::vector<QueryPair>& pairs);
 
-  // Same fan-out against a caller-pinned snapshot: scenario code that must
+  // Same batch against a caller-pinned snapshot: scenario code that must
   // attribute its whole report to one epoch pins once and serves everything
-  // — batch answers included — from that pin. Cache keying is by the pinned
-  // snapshot's epoch, exactly as if the batch had raced no swap.
+  // — batch answers included — from that pin.
   std::vector<Weight> query_batch_on(const SnapshotPtr& snap,
                                      const std::vector<QueryPair>& pairs);
 
@@ -130,11 +128,8 @@ class CutServer {
   // ready-to-publish snapshot for `epoch`.
   SnapshotPtr build_snapshot(const WGraph& g, std::uint64_t epoch);
 
-  Weight cached_query(const Snapshot& snap, VertexId s, VertexId t);
-
   CutServerOptions opt_;
   ThreadPool* pool_;  // resolved: opt_.pool or the shared pool
-  AnswerCache cache_;
   ampc::RuntimeArena arena_;
 
   SnapshotCell current_;

@@ -24,8 +24,8 @@ CommunityCutReport serve_community_cut(CutServer& server,
                                        ampc::AmpcMinCutOptions opt);
 
 // Network reliability: per-pair bottleneck capacities through the batch
-// query path (cache-warm on repeat), plus the global weakest cut and the
-// links crossing it.
+// query path on the report's pinned snapshot, plus the global weakest cut
+// and the links crossing it.
 struct ReliabilityReport {
   std::uint64_t epoch = 0;
   std::vector<Weight> pair_capacity;  // one per requested pair

@@ -1,7 +1,7 @@
 // Deterministic parallel sort/partition primitives (DESIGN.md "Parallel sort
 // & counting primitives").
 //
-// Three primitives, all running on a caller-supplied ThreadPool and all
+// Two primitives, both running on a caller-supplied ThreadPool and both
 // bit-identical to their sequential counterparts at every thread count:
 //
 //  * stable_sort_keys — stable parallel merge sort. The input is cut at
@@ -17,11 +17,6 @@
 //    stable scatter. Optionally reports the per-key group offsets, for
 //    callers that group items by key: ampc_root_tree builds its Euler-tour
 //    arc CSR with it, the offsets serving as the CSR offsets.
-//  * exclusive_scan — parallel exclusive prefix sum over unsigned integers
-//    (block sums, sequential block-sum scan, parallel rewrite). Unsigned
-//    addition is associative mod 2^w, so the parallel decomposition is
-//    bit-identical to the sequential running sum. No library layer calls
-//    it today; its tests and bench_micro_primitives do.
 //
 // Sequential fallback: pool == nullptr, a 1-thread pool, or inputs below
 // kSeqCutoff run the plain sequential algorithm inline on the caller —
@@ -33,7 +28,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "support/check.h"
@@ -223,56 +217,6 @@ void radix_rank(ThreadPool* pool, const T* in, T* out, std::size_t n,
       out[c[key_of(in[i])]++] = in[i];
     }
   });
-}
-
-// In-place exclusive prefix sum: data[i] becomes the sum of data[0..i);
-// returns the total. Unsigned arithmetic, so overflow wraps identically in
-// the sequential and block-decomposed orders (associativity mod 2^w).
-template <class UInt>
-UInt exclusive_scan(ThreadPool* pool, UInt* data, std::size_t n) {
-  static_assert(std::is_unsigned_v<UInt>,
-                "exclusive_scan requires an unsigned accumulator: signed "
-                "overflow would be UB and break the bit-identity contract");
-  if (pool == nullptr || pool->num_threads() <= 1 || n < kSeqCutoff) {
-    UInt running = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const UInt v = data[i];
-      data[i] = running;
-      running += v;
-    }
-    return running;
-  }
-  const std::size_t blocks = plan_blocks(n);
-  std::vector<std::size_t> bounds(blocks + 1);
-  for (std::size_t b = 0; b <= blocks; ++b) {
-    bounds[b] = split_point(n, blocks, b);
-  }
-  std::vector<UInt> sums(blocks, 0);
-  pool->parallel_for(blocks, [&](std::size_t b) {
-    UInt s = 0;
-    for (std::size_t i = bounds[b]; i < bounds[b + 1]; ++i) s += data[i];
-    sums[b] = s;
-  });
-  UInt running = 0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const UInt s = sums[b];
-    sums[b] = running;
-    running += s;
-  }
-  pool->parallel_for(blocks, [&](std::size_t b) {
-    UInt r = sums[b];
-    for (std::size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
-      const UInt v = data[i];
-      data[i] = r;
-      r += v;
-    }
-  });
-  return running;
-}
-
-template <class UInt>
-UInt exclusive_scan(ThreadPool* pool, std::vector<UInt>& v) {
-  return exclusive_scan(pool, v.data(), v.size());
 }
 
 }  // namespace ampccut::psort

@@ -1,9 +1,7 @@
 #include "tree/hld.h"
 
-#include <algorithm>
 #include <numeric>
 
-#include "support/bits.h"
 #include "support/check.h"
 
 namespace ampccut {
@@ -98,81 +96,6 @@ HeavyLight build_heavy_light(const RootedTree& t) {
     }
   }
   return hl;
-}
-
-PathMax::PathMax(const RootedTree& t, const HeavyLight& hl) {
-  gpos_.assign(t.n, 0);
-  std::vector<std::uint32_t> path_offset(hl.paths.size() + 1, 0);
-  for (std::size_t p = 0; p < hl.paths.size(); ++p) {
-    path_offset[p + 1] =
-        path_offset[p] + static_cast<std::uint32_t>(hl.paths[p].size());
-  }
-  std::vector<TimeStep> base(t.n, 0);
-  head_.assign(t.n, 0);
-  depth_ = t.depth;
-  head_depth_.assign(t.n, 0);
-  head_parent_.assign(t.n, kInvalidVertex);
-  head_ptime_.assign(t.n, 0);
-  for (VertexId v = 0; v < t.n; ++v) {
-    gpos_[v] = path_offset[hl.path_id[v]] + hl.pos_in_path[v];
-    base[gpos_[v]] = t.parent_time[v];  // 0 for the root
-    const VertexId h = hl.paths[hl.path_id[v]].front();
-    head_[v] = h;
-    head_depth_[v] = t.depth[h];
-    head_parent_[v] = t.parent[h];
-    head_ptime_[v] = t.parent_time[h];
-  }
-  // Sparse levels concatenated into one buffer: level k spans
-  // [level_off_[k], level_off_[k] + n - 2^k + 1).
-  const std::uint32_t levels = t.n >= 2 ? floor_log2(t.n) + 1 : 1;
-  level_off_.assign(levels + 1, 0);
-  for (std::uint32_t k = 0; k < levels; ++k) {
-    const std::uint32_t len = (1u << k) <= t.n ? t.n - (1u << k) + 1 : 0;
-    level_off_[k + 1] = level_off_[k] + len;
-  }
-  sparse_.resize(level_off_[levels]);
-  std::copy(base.begin(), base.end(), sparse_.begin());
-  for (std::uint32_t k = 1; k < levels; ++k) {
-    const std::uint32_t span = 1u << k;
-    if (span > t.n) break;
-    const TimeStep* prev = sparse_.data() + level_off_[k - 1];
-    TimeStep* cur = sparse_.data() + level_off_[k];
-    for (std::uint32_t i = 0; i + span <= t.n; ++i) {
-      cur[i] = std::max(prev[i], prev[i + span / 2]);
-    }
-  }
-}
-
-TimeStep PathMax::range_max(std::uint32_t lo, std::uint32_t hi) const {
-  REPRO_DCHECK(lo <= hi);
-  const std::uint32_t len = hi - lo + 1;
-  const std::uint32_t k = floor_log2(len);
-  const TimeStep* level = sparse_.data() + level_off_[k];
-  return std::max(level[lo], level[hi + 1 - (1u << k)]);
-}
-
-TimeStep PathMax::query(VertexId u, VertexId v) const {
-  REPRO_DCHECK(!gpos_.empty());
-  if (u == v) return 0;
-  TimeStep best = 0;
-  // Climb the vertex whose path head is deeper until both share a path; the
-  // parent-edge time of each vertex on a contiguous path segment lives at
-  // contiguous global positions.
-  while (head_[u] != head_[v]) {
-    if (head_depth_[u] < head_depth_[v]) std::swap(u, v);
-    best = std::max(best, range_max(gpos_[head_[u]], gpos_[u]));
-    best = std::max(best, head_ptime_[u]);
-    u = head_parent_[u];
-    REPRO_DCHECK(u != kInvalidVertex);
-  }
-  if (u != v) {
-    // Same heavy path: the shallower one's edge is excluded (edges are stored
-    // on the child), so the range starts one position below the shallower.
-    const VertexId hi = depth_[u] < depth_[v] ? u : v;
-    const VertexId lo = depth_[u] < depth_[v] ? v : u;
-    best = std::max(best, range_max(gpos_[hi] + 1, gpos_[lo]));
-  }
-  return best;
 }
 
 }  // namespace ampccut

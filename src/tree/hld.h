@@ -1,12 +1,6 @@
 // Rooted trees and heavy-light decomposition (Sleator–Tarjan heavy edges,
-// Definition 2 of the paper), plus a path-maximum structure over edge times.
-//
-// The paper's Section 4 queries, for arbitrary tree pairs (u, v), the maximum
-// contraction time on the tree path between them (its `mw`, see DESIGN.md
-// deviation #3): a vertex x joins the bag of v exactly when the *last* edge
-// on the v..x path contracts. HLD + per-position sparse table answers that in
-// O(log n) segment maxima, which is the sequential mirror of the paper's
-// Theorem 4 (HLD + RMQ on heavy paths in AMPC).
+// Definition 2 of the paper). The low-depth decomposition (tree/low_depth.h)
+// is built on the heavy paths.
 #pragma once
 
 #include <cstdint>
@@ -58,35 +52,5 @@ struct HeavyLight {
 };
 
 HeavyLight build_heavy_light(const RootedTree& t);
-
-// Max contraction time on tree paths, O(log n) per query after O(n log n)
-// preprocessing. pathmax(u, u) == 0 by convention (empty path).
-//
-// The structure is flattened for query speed: per-vertex
-// head/depth/parent-hop arrays replace the pointer-chasing
-// through RootedTree/HeavyLight, and the sparse table is one contiguous
-// buffer indexed by per-level offsets.
-class PathMax {
- public:
-  PathMax() = default;
-  PathMax(const RootedTree& t, const HeavyLight& hl);
-
-  [[nodiscard]] TimeStep query(VertexId u, VertexId v) const;
-
- private:
-  [[nodiscard]] TimeStep range_max(std::uint32_t lo, std::uint32_t hi) const;
-
-  // Global position of v = path_offset[path_id[v]] + pos_in_path[v]; the base
-  // array (sparse level 0) holds parent-edge times so a path segment is a
-  // contiguous range.
-  std::vector<std::uint32_t> gpos_;
-  std::vector<VertexId> head_;          // head vertex of v's heavy path
-  std::vector<std::uint32_t> depth_;    // tree depth of v
-  std::vector<std::uint32_t> head_depth_;   // depth of head_[v]
-  std::vector<VertexId> head_parent_;   // parent of head_[v] (next hop)
-  std::vector<TimeStep> head_ptime_;    // parent-edge time of head_[v]
-  std::vector<TimeStep> sparse_;        // level k at [level_off_[k], ...)
-  std::vector<std::uint32_t> level_off_;
-};
 
 }  // namespace ampccut

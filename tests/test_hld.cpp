@@ -33,24 +33,6 @@ struct TreeFixture {
   }
 };
 
-// Brute-force path max by walking parents.
-TimeStep naive_pathmax(const RootedTree& t, VertexId u, VertexId v) {
-  std::vector<VertexId> up;
-  std::vector<std::uint8_t> on_u(t.n, 0);
-  for (VertexId x = u; x != kInvalidVertex; x = t.parent[x]) on_u[x] = 1;
-  VertexId meet = v;
-  TimeStep best_v = 0;
-  while (!on_u[meet]) {
-    best_v = std::max(best_v, t.parent_time[meet]);
-    meet = t.parent[meet];
-  }
-  TimeStep best_u = 0;
-  for (VertexId x = u; x != meet; x = t.parent[x]) {
-    best_u = std::max(best_u, t.parent_time[x]);
-  }
-  return std::max(best_u, best_v);
-}
-
 TEST(RootedTree, ParentsDepthsSubtrees) {
   const WGraph g = gen_binary_tree(15);
   const TreeFixture f(g, 1);
@@ -123,36 +105,6 @@ TEST(HeavyLight, LightEdgesOnRootPathLogarithmic) {
       }
       EXPECT_LE(light, floor_log2(g.n) + 1);
     }
-  }
-}
-
-TEST(PathMax, MatchesNaiveOnRandomTrees) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const WGraph g = gen_random_tree(120, seed);
-    const TreeFixture f(g, seed);
-    const PathMax pm(f.rt, f.hl);
-    Rng rng(seed + 77);
-    for (int q = 0; q < 300; ++q) {
-      const auto u = static_cast<VertexId>(rng.next_below(g.n));
-      const auto v = static_cast<VertexId>(rng.next_below(g.n));
-      EXPECT_EQ(pm.query(u, v), naive_pathmax(f.rt, u, v))
-          << "seed=" << seed << " u=" << u << " v=" << v;
-    }
-  }
-}
-
-TEST(PathMax, SpecialShapes) {
-  for (const WGraph& g : {gen_path(64), gen_star(64), gen_broom(64),
-                          gen_caterpillar(16, 3), gen_binary_tree(63)}) {
-    const TreeFixture f(g, 9);
-    const PathMax pm(f.rt, f.hl);
-    Rng rng(5);
-    for (int q = 0; q < 100; ++q) {
-      const auto u = static_cast<VertexId>(rng.next_below(g.n));
-      const auto v = static_cast<VertexId>(rng.next_below(g.n));
-      EXPECT_EQ(pm.query(u, v), naive_pathmax(f.rt, u, v));
-    }
-    EXPECT_EQ(pm.query(3, 3), 0u);
   }
 }
 

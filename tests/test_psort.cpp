@@ -144,33 +144,6 @@ TEST_P(PSortP, RadixRankBitIdenticalToSequential) {
   }
 }
 
-TEST_P(PSortP, ExclusiveScanBitIdenticalToSequential) {
-  for (const std::size_t n : kSizes) {
-    Rng rng(n * 1234567);
-    std::vector<std::uint64_t> vals(n);
-    for (auto& v : vals) {
-      // Mix small counts with huge values so a multi-block decomposition
-      // that mishandled wraparound would be caught.
-      v = rng.next_bernoulli(0.1) ? rng.next_u64() : rng.next_below(100);
-    }
-    std::vector<std::uint64_t> expect = vals;
-    std::vector<std::uint64_t> got = vals;
-    const std::uint64_t expect_total = psort::exclusive_scan(nullptr, expect);
-    const std::uint64_t got_total = psort::exclusive_scan(&pool_, got);
-    ASSERT_EQ(got, expect) << "n=" << n << " threads=" << pool_.num_threads();
-    ASSERT_EQ(got_total, expect_total);
-  }
-  // uint32 accumulators wrap identically too.
-  std::vector<std::uint32_t> small(20000);
-  Rng rng(99);
-  for (auto& v : small) v = static_cast<std::uint32_t>(rng.next_u64());
-  std::vector<std::uint32_t> expect32 = small;
-  std::vector<std::uint32_t> got32 = small;
-  ASSERT_EQ(psort::exclusive_scan(&pool_, got32),
-            psort::exclusive_scan(nullptr, expect32));
-  ASSERT_EQ(got32, expect32);
-}
-
 TEST_P(PSortP, FuzzRandomLengthsAndKeySpaces) {
   Rng rng(0xf00dULL ^ GetParam());
   for (int trial = 0; trial < 20; ++trial) {

@@ -3,12 +3,11 @@
 // The contract under test: every answer a CutServer ever returns equals the
 // direct max-flow on the graph of the snapshot that served it — across the
 // six-family generator zoo with weighted/multigraph/disconnected variants,
-// with the kernel front-end on or off, through the single-shot path, the
-// batch fan-out at any pool width, and the sharded LRU cache (whose hit/
-// miss/eviction counters are asserted EXACTLY — the cache must be an
-// invisible layer, not an approximation). Rebuild faults may only cost
-// freshness (RetriesExhaustedError with the old epoch still serving), never
-// correctness. Suite name "Serve" rides the tsan/asan CI filters.
+// with the kernel front-end on or off, through the single-shot path and the
+// batch path at any pool width, for batches of one block and of many.
+// Rebuild faults may only cost freshness (RetriesExhaustedError with the old
+// epoch still serving), never correctness. Suite name "Serve" rides the
+// tsan/asan CI filters.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -165,27 +164,45 @@ TEST(Serve, GlobalMinCutMatchesStoerWagner) {
 
 // --- Batch path -------------------------------------------------------------
 
+// Longer than twice query_batch_on's grain (at most 1024), so a batch this
+// long spans several blocks and takes the pool's fan-out path.
+constexpr std::size_t kManyBlockBatch = 2 * 1024 + 1;
+
+// `pairs` repeated until the list holds at least `len` pairs.
+std::vector<QueryPair> repeat_pairs(const std::vector<QueryPair>& pairs,
+                                    std::size_t len) {
+  std::vector<QueryPair> out;
+  while (out.size() < len) out.insert(out.end(), pairs.begin(), pairs.end());
+  return out;
+}
+
 TEST(Serve, BatchIsBitIdenticalToSequentialAtEveryPoolWidth) {
   for (std::uint64_t i = 0; i < 24; i += 3) {
     const WGraph g = serve_zoo_case(i);
     const auto pairs = zoo_pairs(g, i * 7 + 8);
+    const auto long_pairs = repeat_pairs(pairs, kManyBlockBatch);
 
-    CutServerOptions opt;
-    opt.cache_capacity = 0;  // the raw tree path, no cache interleaving
-    CutServer server(g, opt);
+    CutServer server(g);
     std::vector<Weight> sequential;
-    sequential.reserve(pairs.size());
-    for (const auto& p : pairs) sequential.push_back(server.query(p.s, p.t));
-    EXPECT_EQ(server.query_batch(pairs), sequential) << "zoo " << i;
+    sequential.reserve(long_pairs.size());
+    for (const auto& p : long_pairs) {
+      sequential.push_back(server.query(p.s, p.t));
+    }
+    const std::vector<Weight> short_sequential(
+        sequential.begin(),
+        sequential.begin() + static_cast<std::ptrdiff_t>(pairs.size()));
+    EXPECT_EQ(server.query_batch(pairs), short_sequential) << "zoo " << i;
+    EXPECT_EQ(server.query_batch(long_pairs), sequential) << "zoo " << i;
 
     for (const std::uint32_t threads : {1U, 2U, 4U}) {
       ThreadPool pool(threads);
       CutServerOptions popt;
-      popt.cache_capacity = 0;
       popt.pool = &pool;
       CutServer pooled(g, popt);
-      EXPECT_EQ(pooled.query_batch(pairs), sequential)
+      EXPECT_EQ(pooled.query_batch(pairs), short_sequential)
           << "zoo " << i << " threads " << threads;
+      EXPECT_EQ(pooled.query_batch(long_pairs), sequential)
+          << "zoo " << i << " threads " << threads << " (many blocks)";
     }
   }
 }
@@ -207,99 +224,6 @@ TEST(Serve, BatchOnPinnedSnapshotIgnoresLaterSwaps) {
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(fresh[i], st_min_cut(g2, pairs[i].s, pairs[i].t));
   }
-}
-
-// --- Cache semantics: counters asserted exactly -----------------------------
-
-TEST(Serve, CacheCountsHitsAndMissesExactly) {
-  const WGraph g = gen_path(6);
-  CutServerOptions opt;
-  opt.cache_shards = 1;
-  opt.cache_capacity = 16;
-  CutServer server(g, opt);
-
-  EXPECT_EQ(server.query(0, 5), 1U);  // miss, inserted
-  EXPECT_EQ(server.query(0, 5), 1U);  // hit
-  EXPECT_EQ(server.query(5, 0), 1U);  // hit: (s, t) is normalized
-  EXPECT_EQ(server.query(1, 4), 1U);  // miss
-  auto s = server.stats();
-  EXPECT_EQ(s.cache_misses, 2U);
-  EXPECT_EQ(s.cache_hits, 2U);
-  EXPECT_EQ(s.cache_evictions, 0U);
-  EXPECT_EQ(s.queries, 4U);
-
-  // The batch path consults the same cache: three resident pairs hit, the
-  // new one misses.
-  const std::vector<QueryPair> batch = {{0, 5}, {5, 0}, {1, 4}, {2, 3}};
-  const auto answers = server.query_batch(batch);
-  EXPECT_EQ(answers, (std::vector<Weight>{1, 1, 1, 1}));
-  s = server.stats();
-  EXPECT_EQ(s.cache_misses, 3U);
-  EXPECT_EQ(s.cache_hits, 5U);
-  EXPECT_EQ(s.batch_queries, 4U);
-}
-
-TEST(Serve, CacheEvictsLeastRecentlyUsedAndCountsIt) {
-  const WGraph g = gen_path(8);
-  CutServerOptions opt;
-  opt.cache_shards = 1;  // one shard => one LRU list, fully predictable
-  opt.cache_capacity = 2;
-  CutServer server(g, opt);
-
-  (void)server.query(0, 1);  // miss; resident {01}
-  (void)server.query(1, 2);  // miss; resident {12, 01}
-  (void)server.query(2, 3);  // miss; evicts 01 -> resident {23, 12}
-  auto s = server.stats();
-  EXPECT_EQ(s.cache_misses, 3U);
-  EXPECT_EQ(s.cache_evictions, 1U);
-
-  (void)server.query(0, 1);  // miss again (was evicted); evicts 12
-  (void)server.query(2, 3);  // hit (still resident)
-  s = server.stats();
-  EXPECT_EQ(s.cache_misses, 4U);
-  EXPECT_EQ(s.cache_hits, 1U);
-  EXPECT_EQ(s.cache_evictions, 2U);
-}
-
-TEST(Serve, CacheOffServesIdenticalAnswersWithZeroCounters) {
-  const WGraph g = serve_zoo_case(9);
-  CutServerOptions off;
-  off.cache_capacity = 0;
-  CutServerOptions on;
-  on.cache_capacity = 1024;
-  CutServer plain(g, off);
-  CutServer cached(g, on);
-  const auto pairs = zoo_pairs(g, 41);
-  for (int rep = 0; rep < 2; ++rep) {  // second pass = all hits on `cached`
-    for (const auto& p : pairs) {
-      EXPECT_EQ(plain.query(p.s, p.t), cached.query(p.s, p.t));
-    }
-  }
-  const auto s = plain.stats();
-  EXPECT_EQ(s.cache_hits, 0U);
-  EXPECT_EQ(s.cache_misses, 0U);
-  EXPECT_EQ(s.cache_evictions, 0U);
-  const auto c = cached.stats();
-  EXPECT_EQ(c.cache_misses, pairs.size());
-  EXPECT_EQ(c.cache_hits, pairs.size());
-}
-
-TEST(Serve, EpochKeyedCacheNeedsNoFlushOnSwap) {
-  // Same graph re-published as epoch 2: answers are unchanged, but cache
-  // keys embed the epoch, so the first query after the swap is a MISS — a
-  // retired epoch's entries can never serve the new one.
-  const WGraph g = gen_path(5);
-  CutServerOptions opt;
-  opt.cache_shards = 1;
-  opt.cache_capacity = 8;
-  CutServer server(g, opt);
-  EXPECT_EQ(server.query(0, 4), 1U);
-  server.update_graph(g);
-  EXPECT_EQ(server.snapshot()->epoch(), 2U);
-  EXPECT_EQ(server.query(0, 4), 1U);
-  const auto s = server.stats();
-  EXPECT_EQ(s.cache_misses, 2U);
-  EXPECT_EQ(s.cache_hits, 0U);
 }
 
 // --- Epoch discipline -------------------------------------------------------
@@ -326,10 +250,7 @@ TEST(Serve, UpdateGraphSwapsEpochWhileOldPinKeepsServing) {
 
 TEST(Serve, InvalidPairsThrowTypedOnEveryPath) {
   const WGraph g = gen_path(4);
-  CutServerOptions opt;
-  opt.cache_shards = 1;
-  opt.cache_capacity = 8;
-  CutServer server(g, opt);
+  CutServer server(g);
 
   EXPECT_THROW((void)server.query(0, 0), InvalidQueryError);
   EXPECT_THROW((void)server.query(0, 4), InvalidQueryError);
@@ -345,12 +266,6 @@ TEST(Serve, InvalidPairsThrowTypedOnEveryPath) {
     EXPECT_NE(std::string(e.what()).find("invalid cut query"),
               std::string::npos);
   }
-  // Documented subtlety: a rejected query still consulted the cache (one
-  // miss each), but a poison pair never occupies a slot — so re-asking does
-  // not turn into a bogus hit.
-  const auto s = server.stats();
-  EXPECT_EQ(s.cache_hits, 0U);
-  EXPECT_GE(s.cache_misses, 5U);
 }
 
 // --- Degenerate and extreme inputs ------------------------------------------
