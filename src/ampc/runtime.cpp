@@ -44,14 +44,6 @@ void Runtime::round(const char* label, std::size_t num_machines,
                     const std::function<void(MachineContext&)>& body) {
   ++metrics_.rounds;
   bump_label(metrics_.rounds_by_label, label, 1);
-  {
-    // Size every table's machine staging buffers (the overflow buffer for
-    // driver-side writes is a separate member of each table); tables
-    // registered mid-round are sized by register_table from round_buffers_.
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    round_buffers_ = num_machines;
-    for (auto* t : tables_) t->begin_round(round_buffers_);
-  }
   // Stable round coordinate for fault scheduling: retries of one logical
   // round share it (the attempt index separates their rng draws).
   const std::uint64_t round_index = metrics_.rounds - 1;
@@ -69,7 +61,7 @@ void Runtime::round(const char* label, std::size_t num_machines,
     std::atomic<std::uint64_t> violations{0};
     try {
       pool_.parallel_for(num_machines, [&](std::size_t machine) {
-        MachineContext ctx(machine);
+        MachineContext ctx(machine, pool_.worker_index());
         MachineContext::ScopedActivation scope(ctx);
         try {
           if (injector_ != nullptr) machine_entry_faults(ctx);
@@ -183,7 +175,6 @@ void Runtime::charge_rounds(const char* label, std::uint64_t rounds) {
 
 void Runtime::register_table(detail::TableBase* table) {
   std::lock_guard<std::mutex> lock(tables_mu_);
-  table->begin_round(round_buffers_);
   tables_.push_back(table);
 }
 
@@ -202,8 +193,22 @@ void Runtime::release_leased(std::unique_ptr<detail::TableBase> table) {
 }
 
 Runtime::PoolStats Runtime::pool_stats() const {
+  PoolStats stats;
+  const auto add_bytes = [&stats](const detail::TableBase& t) {
+    stats.staging_bytes += t.staging_bytes();
+    stats.storage_bytes += t.storage_bytes();
+  };
+  {
+    std::lock_guard<std::mutex> lock(tables_mu_);
+    for (const auto* t : tables_) add_bytes(*t);
+  }
   std::lock_guard<std::mutex> lock(pool_mu_);
-  return pool_stats_;
+  stats.leases = pool_stats_.leases;
+  stats.reuses = pool_stats_.reuses;
+  for (const auto& [type, pooled] : table_pool_) {  // commutative sums
+    for (const auto& t : pooled) add_bytes(*t);
+  }
+  return stats;
 }
 
 void Runtime::reset_for_subproblem(const Config& cfg) {
@@ -212,7 +217,6 @@ void Runtime::reset_for_subproblem(const Config& cfg) {
     REPRO_CHECK_MSG(tables_.empty(),
                     "reset_for_subproblem with live tables: the previous "
                     "subproblem's leases/tables must be released first");
-    round_buffers_ = 0;
   }
   cfg_ = cfg;
   metrics_.reset();
@@ -226,8 +230,8 @@ void Runtime::reset_for_subproblem(const Config& cfg) {
 
 void Runtime::commit_all() {
   std::lock_guard<std::mutex> lock(tables_mu_);
-  // Seal every table's dirty-buffer list (O(buffers actually written), not
-  // O(machines)) and gather the ones with staged writes.
+  // Seal every table's staging logs (O(round participants), not
+  // O(machines)) and gather the tables with staged writes.
   std::vector<detail::TableBase*> staged;
   std::uint64_t staged_total = 0;
   for (auto* t : tables_) {
@@ -247,27 +251,34 @@ void Runtime::commit_all() {
     std::vector<Task> partitions;
     std::vector<Task> shards;
     for (auto* t : staged) {
-      for (std::size_t d = 0, nd = t->num_dirty_buffers(); d < nd; ++d) {
+      for (std::size_t d = 0, nd = t->prepare_partition(); d < nd; ++d) {
         partitions.push_back({t, d});
       }
       for (std::size_t s = 0, ns = t->num_commit_shards(); s < ns; ++s) {
         shards.push_back({t, s});
       }
     }
-    // Phase A: partition each dirty staging buffer by destination shard.
+    // Phase A: partition each block of every dirty staging log by shard.
     pool_.parallel_for(partitions.size(), [&](std::size_t i) {
       partitions[i].table->partition_staged(partitions[i].index);
     });
-    // Phase B: apply each shard's slice of every dirty buffer, machine order.
+    // Phase B: each shard merges its slices of the dirty logs, machine order.
     pool_.parallel_for(shards.size(), [&](std::size_t i) {
       shards[i].table->commit_shard(shards[i].index);
     });
-    for (auto* t : staged) t->finish_commit();
   } else {
     for (auto* t : staged) t->commit_sealed();
   }
+  // Retained staging follows the round: every log, staged this round or
+  // not, keeps at most twice the round's entries of capacity. Steady rounds
+  // reallocate nothing; a large round's capacity goes once a round stages
+  // less than half of it.
+  const std::uint64_t keep = 2 * staged_total;
   std::uint64_t words = 0;
-  for (auto* t : tables_) words += t->size_words();
+  for (auto* t : tables_) {
+    t->finish_commit(keep);
+    words += t->size_words();
+  }
   metrics_.peak_table_words = std::max(metrics_.peak_table_words, words);
 }
 

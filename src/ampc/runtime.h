@@ -10,25 +10,30 @@
 //     staged table writes at the barrier;
 //   * Table<K,V> / DenseTable<V> — sharded hash table / dense array with
 //     frozen reads (only data committed in earlier rounds is visible) and
-//     per-machine staged writes;
+//     staged writes;
 //   * MachineContext — tracks per-machine read/write word counts against the
 //     O(n^eps) budget (the model bounds a machine's DHT traffic per round by
 //     its local memory).
 //
-// Write path (DESIGN.md "Runtime concurrency & staging"): put() appends to
-// the calling machine's private staging buffer — no locks, no sharing. At
-// the barrier the runtime commits in two parallel phases: (A) each buffer is
-// partitioned by destination shard, (B) each shard applies its slice of
-// every buffer in machine-id order. Small rounds skip the partition and
-// apply every buffer in one serial walk, in the same order. Machine order
-// makes committed contents (and hence kOverwrite races) independent of the
-// thread schedule, and the frozen-read invariant holds because committed
-// storage is only ever touched between rounds.
+// Write path (DESIGN.md "Runtime concurrency & staging"): put() appends the
+// entry, tagged with its machine id, to the staging log of the thread
+// running the machine — one log per round participant (each pool worker,
+// plus the calling thread), so no locks and no sharing, and staging memory
+// follows the entries a round stages, not its machine count. A thread runs
+// its machines in ascending id order, so every log is sorted by machine id.
+// At the barrier the runtime commits in two parallel phases: (A) each log
+// is partitioned by destination shard, (B) each shard merges its slices of
+// the logs by machine id. Small rounds skip the partition and merge the
+// logs in one serial walk, in the same order. Machine order makes committed
+// contents (and hence kOverwrite races) independent of the thread schedule,
+// and the frozen-read invariant holds because committed storage is only
+// ever touched between rounds. After the commit a log keeps at most twice
+// the round's staged entries of capacity.
 //
 // Failure semantics (DESIGN.md "Fault injection & round-level recovery"): a
 // machine that throws MachineFailedError — injected by Config::fault or
 // thrown by the body — fails only its round. The barrier discards the
-// round's machine staging buffers (committed state is untouched by
+// round's machine staging logs (committed state is untouched by
 // construction) and replays the round under Config::retry; past
 // max_attempts, RetriesExhaustedError surfaces. Any other exception also
 // leaves the runtime reusable: staging cleared, leases releasable,
@@ -149,92 +154,53 @@ struct Metrics {
 
 namespace detail {
 
-// Tracks which staging buffers received entries this round, so the barrier
-// commit touches only those instead of scanning one buffer per virtual
-// machine per table (the scan dominated commit cost on fine-grained rounds).
-// mark() runs at most once per buffer per round — on the buffer's first
-// entry — and takes a slot from a relaxed atomic cursor, so writer threads
-// only ever contend on the cursor. seal() orders the ids ascending, which is
-// machine-id commit order with the overflow sentinel naturally last.
-class DirtyBuffers {
- public:
-  static constexpr std::uint32_t kOverflow = ~0u;  // the driver-side buffer
-
-  // Never concurrent with mark(); `n` must cover every markable id + 1 slot
-  // for the overflow sentinel.
-  void ensure_capacity(std::size_t n) {
-    if (slots_.size() < n) slots_.resize(n);
-  }
-
-  void mark(std::uint32_t id) {
-    slots_[count_.fetch_add(1, std::memory_order_relaxed)] = id;
-  }
-
-  // Driver thread, after the round barrier (the pool join orders all marks
-  // before this). Returns the number of dirty buffers.
-  std::size_t seal() {
-    const std::size_t n = count_.load(std::memory_order_relaxed);
-    // Dirty-buffer lists are tiny (one slot per buffer that wrote this
-    // round), so the psort sequential fallback is the right engine; ids are
-    // unique (mark() runs once per buffer), so stable == unstable here.
-    psort::stable_sort_keys(nullptr, slots_.data(), n,
-                            std::less<std::uint32_t>{});
-    return n;
-  }
-
-  [[nodiscard]] std::size_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint32_t id_at(std::size_t i) const { return slots_[i]; }
-  void clear() { count_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::vector<std::uint32_t> slots_;
-  std::atomic<std::uint32_t> count_{0};
-};
-
 // Commit protocol between Runtime and the tables, implemented once by
-// StagedTable below. The barrier seals each table's dirty-buffer list, then
-// runs two phases the runtime can fan out over the thread pool:
-//   phase A  partition_staged(d) — group the d-th dirty buffer's entries by
-//            shard (independent across buffers);
-//   phase B  commit_shard(s)     — apply shard s's slice of every dirty
-//            buffer in sealed (machine-id) order (independent across
-//            shards: disjoint key ranges).
+// StagedTable below. The barrier seals each table's dirty logs (the staging
+// logs that received entries this round), then runs two phases the runtime
+// can fan out over the thread pool:
+//   phase A  partition_staged(b) — group the b-th block of a dirty log by
+//            shard (independent across blocks);
+//   phase B  commit_shard(s)     — apply shard s's slices of the dirty logs
+//            merged by machine id, the overflow log last (independent
+//            across shards: disjoint key ranges).
 // Below the runtime's parallel threshold, commit_sealed() replaces both
-// phases with one serial walk. finish_commit() clears the dirty buffers
-// (capacity retained).
+// phases with one serial walk. finish_commit() then runs on every
+// registered table, staged or not.
 class TableBase {
  public:
   virtual ~TableBase() = default;
 
-  // Ensures at least `num_buffers` machine staging buffers exist (the
-  // overflow buffer is separate and always addressed by the sentinel).
-  // Called by the runtime at round start and at registration — never
-  // concurrently with put().
-  virtual void begin_round(std::size_t num_buffers) = 0;
-
-  // Seals the round's dirty-buffer list for commit (driver thread, between
+  // Seals the round's dirty logs for commit (driver thread, between
   // rounds). Returns the number of staged entries; 0 means nothing to do.
   virtual std::uint64_t seal_staged() = 0;
-  [[nodiscard]] virtual std::size_t num_dirty_buffers() const = 0;
+  // Cuts a sealed table's dirty logs into phase-A blocks and sizes the
+  // partition scratch (driver thread); returns the number of blocks.
+  virtual std::size_t prepare_partition() = 0;
   [[nodiscard]] virtual std::size_t num_commit_shards() const = 0;
-  virtual void partition_staged(std::size_t dirty_index) = 0;
+  virtual void partition_staged(std::size_t block) = 0;
   virtual void commit_shard(std::size_t shard) = 0;
-  virtual void finish_commit() = 0;
+  // Empties every staging log and releases any staging capacity above
+  // `keep_entries` entries (the runtime passes twice the round's total).
+  virtual void finish_commit(std::uint64_t keep_entries) = 0;
   [[nodiscard]] virtual std::uint64_t size_words() const = 0;
 
+  // Heap bytes held by staging (logs, partition copy, shard offsets) and by
+  // committed storage — Runtime::pool_stats.
+  [[nodiscard]] virtual std::uint64_t staging_bytes() const = 0;
+  [[nodiscard]] virtual std::uint64_t storage_bytes() const = 0;
+
   // Round-level recovery (driver thread, after a failed round's barrier):
-  // drop every machine staging buffer without applying it, leaving committed
-  // contents untouched. The driver-side overflow buffer survives — it was
+  // drop every machine staging log without applying it, leaving committed
+  // contents untouched. The driver-side overflow log survives — it was
   // staged outside the failed round and must still commit with the retry.
   virtual void discard_machine_staged() = 0;
 
-  // Serial commit of an already-sealed table (small rounds): one walk over
-  // the dirty buffers in sealed machine-id order, program order within each,
-  // with no shard partition. Bit-identical to phases A+B: shards own
-  // disjoint keys, so every key sees its writes in the same order, and each
-  // shard's insertion sequence is the same subsequence of the walk.
+  // Serial commit of an already-sealed table (small rounds): one walk that
+  // merges the dirty logs by machine id, program order within a machine,
+  // the overflow log last, with no shard partition. Bit-identical to phases
+  // A+B: shards own disjoint keys, so every key sees its writes in the same
+  // order, and each shard's insertion sequence is the same subsequence of
+  // the walk.
   virtual void commit_sealed() = 0;
 };
 
@@ -270,12 +236,16 @@ void apply_merge(V& dst, const V& src, Merge policy) {
 }
 
 // Per-virtual-machine context; installed thread-locally while the machine's
-// task runs so table reads can be accounted to the right machine.
+// task runs so table reads can be accounted to the right machine, and table
+// writes staged in the running thread's log (`slot`, the thread's
+// ThreadPool::worker_index in the runtime's pool).
 class MachineContext {
  public:
-  explicit MachineContext(std::size_t machine_id) : machine_(machine_id) {}
+  MachineContext(std::size_t machine_id, std::size_t slot)
+      : machine_(machine_id), slot_(slot) {}
 
   [[nodiscard]] std::size_t machine_id() const { return machine_; }
+  [[nodiscard]] std::size_t slot() const { return slot_; }
   [[nodiscard]] std::uint64_t reads() const { return reads_; }
   [[nodiscard]] std::uint64_t writes() const { return writes_; }
 
@@ -292,6 +262,7 @@ class MachineContext {
  private:
   friend struct ScopedActivation;
   std::size_t machine_;
+  std::size_t slot_;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   static thread_local MachineContext* current_;
@@ -331,14 +302,21 @@ class Runtime {
   void register_table(detail::TableBase* table);
   void unregister_table(detail::TableBase* table);
 
+  // Round participants: the pool's workers plus one calling thread, which
+  // number the staging logs of every table (MachineContext::slot).
+  [[nodiscard]] std::size_t participants() const {
+    return pool_.num_threads() + 1;
+  }
+
   // --- Table pooling (DESIGN.md "Table and runtime pooling") --------------
   //
   // lease_dense / lease_table replace direct Table/DenseTable construction
   // in the algorithm layer: the returned TableLease behaves like the table
   // (operator->), registers it for the barrier commit exactly as the old
   // constructor did, and on destruction returns the object — shard vectors,
-  // staging buffers, dirty-slot capacity, hash-map buckets and all — to a
-  // per-runtime free list keyed by concrete table type. A pool hit resets
+  // staging logs (capped at twice the last committed round's entries),
+  // hash-map buckets and all — to a per-runtime free list keyed by concrete
+  // table type. A pool hit resets
   // the committed contents in place (O(size) value init for dense tables,
   // O(entries previously committed) map clears for sparse ones) with zero
   // heap churn in steady state. Contents, metrics, and traffic are
@@ -365,7 +343,21 @@ class Runtime {
   struct PoolStats {
     std::uint64_t leases = 0;  // lease_dense/lease_table calls
     std::uint64_t reuses = 0;  // leases served from the free list
+    // Heap bytes held by the live and pooled tables: staging logs with
+    // their partition copies and offsets, and committed storage (for hash
+    // tables an estimate: nodes, buckets and shard headers).
+    std::uint64_t staging_bytes = 0;
+    std::uint64_t storage_bytes = 0;
+
+    PoolStats& operator+=(const PoolStats& o) {
+      leases += o.leases;
+      reuses += o.reuses;
+      staging_bytes += o.staging_bytes;
+      storage_bytes += o.storage_bytes;
+      return *this;
+    }
   };
+  // Driver thread, between rounds.
   [[nodiscard]] PoolStats pool_stats() const;
 
   // --- Fault-injection hooks (fault.h) ------------------------------------
@@ -416,9 +408,8 @@ class Runtime {
   std::unique_ptr<FaultInjector> injector_;
   std::uint64_t fault_round_ = 0;
   std::uint32_t fault_attempt_ = 0;
-  std::mutex tables_mu_;
+  mutable std::mutex tables_mu_;
   std::vector<detail::TableBase*> tables_;  // guarded by tables_mu_
-  std::size_t round_buffers_ = 0;  // machine buffers of the round in flight
   // Pooled (currently unleased) tables by concrete type. Declared after
   // tables_mu_/tables_ so pooled tables — whose destructors call
   // unregister_table — are destroyed while those members are still alive.
@@ -474,99 +465,139 @@ class TableLease {
 namespace detail {
 
 // The staging-and-commit core shared by Table and DenseTable: registration,
-// the per-machine staging buffers with their overflow slot and dirty list,
-// and the TableBase commit protocol. Derived supplies the key -> shard map
-// (as the shard argument of stage()), num_commit_shards(), committed storage
-// and its reads, and one non-virtual hook the commit walk applies each
-// staged entry through:
+// the staging logs with their overflow log, and the TableBase commit
+// protocol. Derived supplies the key -> shard map (as the shard argument of
+// stage()), num_commit_shards(), committed storage and its reads, and one
+// non-virtual hook the commit walk applies each staged entry through:
 //   void commit_entry(std::size_t shard, Key& key, V& value);
-// Entries reach the hook in sealed machine-id order, overflow last, program
-// order within a buffer, so same-key kOverwrite writes resolve to the
+// Entries reach the hook in machine-id order, program order within a
+// machine, overflow last, so same-key kOverwrite writes resolve to the
 // highest-machine-id writer.
 template <class Derived, class Key, class V>
 class StagedTable : public TableBase {
  public:
-  void begin_round(std::size_t num_buffers) override {
-    if (buffers_.size() < num_buffers) buffers_.resize(num_buffers);
-    dirty_.ensure_capacity(buffers_.size() + 1);  // + the overflow sentinel
-  }
-
   std::uint64_t seal_staged() override {
-    const std::size_t nd = dirty_.seal();
+    dirty_.clear();  // capacity reserved at construction
     std::uint64_t n = 0;
-    for (std::size_t d = 0; d < nd; ++d) {
-      n += buffer_at(dirty_.id_at(d)).entries.size();
+    for (std::size_t i = 0; i < logs_.size(); ++i) {
+      const std::size_t k = logs_[i].entries.size();
+      if (k == 0) continue;
+      dirty_.push_back(static_cast<std::uint32_t>(i));
+      n += k;
     }
     return n;
   }
 
-  [[nodiscard]] std::size_t num_dirty_buffers() const override {
-    return dirty_.count();
+  // Cuts each dirty log into blocks — the phase-A tasks — and lays them out
+  // back to back in parted_. parallel_for hands out 16 iterations at a
+  // time, so a large table gets about 16 blocks per round participant, and
+  // every participant a share of the partition.
+  std::size_t prepare_partition() override {
+    stride_ = num_commit_shards() + 1;
+    blocks_.clear();
+    first_block_.clear();
+    std::uint64_t staged = 0;
+    for (const std::uint32_t slot : dirty_) {
+      staged += logs_[slot].entries.size();
+    }
+    const auto block = static_cast<std::uint32_t>(std::max<std::uint64_t>(
+        kMinPartitionBlock, ceil_div(staged, 16 * rt_.participants())));
+    std::uint32_t total = 0;
+    for (const std::uint32_t slot : dirty_) {
+      first_block_.push_back(static_cast<std::uint32_t>(blocks_.size()));
+      const auto size =
+          static_cast<std::uint32_t>(logs_[slot].entries.size());
+      for (std::uint32_t lo = 0; lo < size; lo += block) {
+        const std::uint32_t hi = std::min(size, lo + block);
+        blocks_.push_back({slot, lo, hi, total});
+        total += hi - lo;
+      }
+    }
+    first_block_.push_back(static_cast<std::uint32_t>(blocks_.size()));
+    offsets_.resize(blocks_.size() * stride_);
+    // Only ever grown here (finish_commit leaves the size alone), so steady
+    // rounds value-initialize nothing on this serial path.
+    if (parted_.size() < total) parted_.resize(total);
+    return blocks_.size();
   }
 
-  void partition_staged(std::size_t dirty_index) override {
-    Buffer& buf = buffer_at(dirty_.id_at(dirty_index));
-    const std::size_t shards = num_commit_shards();
-    buf.offsets.assign(shards + 1, 0);
-    for (const Staged& e : buf.entries) ++buf.offsets[e.shard + 1];
-    for (std::size_t s = 0; s < shards; ++s) {
-      buf.offsets[s + 1] += buf.offsets[s];
+  // Stable counting sort of block b into its range of parted_: shard s ends
+  // up at parted_[off[s], off[s + 1]), off = the block's offsets row, in
+  // the log's machine-id and program order.
+  void partition_staged(std::size_t b) override {
+    const Block& block = blocks_[b];
+    std::uint32_t* off = &offsets_[b * stride_];
+    off[0] = block.base;
+    std::fill(off + 1, off + stride_, 0u);
+    Staged* const first = logs_[block.slot].entries.data() + block.lo;
+    Staged* const last = logs_[block.slot].entries.data() + block.hi;
+    for (const Staged* e = first; e != last; ++e) ++off[e->shard + 1];
+    // off[s + 1] := shard s's start; the scatter advances it to its end.
+    std::uint32_t start = block.base;
+    for (std::size_t s = 1; s < stride_; ++s) {
+      const std::uint32_t count = off[s];
+      off[s] = start;
+      start += count;
     }
-    buf.parted.resize(buf.entries.size());
-    std::vector<std::uint32_t> cursor(buf.offsets.begin(),
-                                      buf.offsets.end() - 1);
-    for (Staged& e : buf.entries) {  // stable: program order within a shard
-      buf.parted[cursor[e.shard]++] = std::move(e);
+    for (Staged* e = first; e != last; ++e) {
+      parted_[off[e->shard + 1]++] = std::move(*e);
     }
   }
 
   void commit_shard(std::size_t shard) override {
-    Derived& self = static_cast<Derived&>(*this);
-    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
-      Buffer& buf = buffer_at(dirty_.id_at(d));  // sealed machine-id order
-      const std::uint32_t begin = buf.offsets[shard];
-      const std::uint32_t end = buf.offsets[shard + 1];
-      for (std::uint32_t i = begin; i < end; ++i) {
-        Staged& e = buf.parted[i];
-        self.commit_entry(shard, e.key, e.value);
-      }
+    Runs runs(dirty_.size());
+    for (std::size_t d = 0; d < dirty_.size(); ++d) {
+      // Empty; apply_in_order refills it from the log's first block.
+      runs[d] = {nullptr, nullptr, first_block_[d], first_block_[d + 1]};
     }
+    apply_in_order(runs.data(), shard);
   }
 
   void commit_sealed() override {
-    Derived& self = static_cast<Derived&>(*this);
-    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
-      for (Staged& e : buffer_at(dirty_.id_at(d)).entries) {
-        self.commit_entry(e.shard, e.key, e.value);
-      }
+    Runs runs(dirty_.size());
+    for (std::size_t d = 0; d < dirty_.size(); ++d) {
+      std::vector<Staged>& entries = logs_[dirty_[d]].entries;
+      runs[d] = {entries.data(), entries.data() + entries.size(), 0, 0};
     }
-    finish_commit();
+    apply_in_order(runs.data(), 0);
   }
 
-  void finish_commit() override {
-    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
-      clear(buffer_at(dirty_.id_at(d)));
+  void finish_commit(std::uint64_t keep_entries) override {
+    for (Log& log : logs_) {
+      log.entries.clear();
+      release_above(log.entries, keep_entries);
     }
+    release_above(parted_, keep_entries);
+    release_above(offsets_, keep_entries);
+    release_above(blocks_, keep_entries);
+    release_above(first_block_, keep_entries);
     dirty_.clear();
   }
 
   void discard_machine_staged() override {
-    bool overflow_dirty = false;
-    for (std::size_t d = 0, nd = dirty_.count(); d < nd; ++d) {
-      const std::uint32_t id = dirty_.id_at(d);
-      if (id == DirtyBuffers::kOverflow) {
-        overflow_dirty = true;  // staged outside the round; keep for retry
-        continue;
-      }
-      clear(buffers_[id]);
+    // Every log but the overflow log (the last), which stays for the retry.
+    for (std::size_t i = 0; i + 1 < logs_.size(); ++i) {
+      logs_[i].entries.clear();
     }
     dirty_.clear();
-    if (overflow_dirty) dirty_.mark(DirtyBuffers::kOverflow);
+  }
+
+  [[nodiscard]] std::uint64_t staging_bytes() const override {
+    std::uint64_t entries = parted_.capacity();
+    for (const Log& log : logs_) entries += log.entries.capacity();
+    return entries * sizeof(Staged) +
+           (offsets_.capacity() + first_block_.capacity()) *
+               sizeof(std::uint32_t) +
+           blocks_.capacity() * sizeof(Block);
   }
 
  protected:
   StagedTable(Runtime& rt, std::string name, Merge policy)
-      : rt_(rt), name_(std::move(name)), policy_(policy) {
+      : rt_(rt),
+        name_(std::move(name)),
+        policy_(policy),
+        logs_(rt.participants() + 1) {
+    dirty_.reserve(logs_.size());
     rt_.register_table(this);
   }
   ~StagedTable() override { rt_.unregister_table(this); }
@@ -586,18 +617,18 @@ class StagedTable : public TableBase {
     if (auto* ctx = MachineContext::current()) {
       rt_.fault_point_write(*ctx);
       ctx->count_write(words);
-      Buffer& buf = buffers_[ctx->machine_id()];
-      if (buf.entries.empty()) {
-        dirty_.mark(static_cast<std::uint32_t>(ctx->machine_id()));
-      }
-      buf.entries.push_back({shard, std::move(key), std::move(value)});
+      REPRO_DCHECK(ctx->slot() < overflow_slot());
+      REPRO_DCHECK(ctx->machine_id() < kNoMachine);
+      logs_[ctx->slot()].entries.push_back(
+          {shard, static_cast<std::uint32_t>(ctx->machine_id()),
+           std::move(key), std::move(value)});
       return;
     }
-    // Driver-side write outside any machine: the dedicated overflow buffer,
-    // committed after every machine's buffer.
+    // Driver-side write outside any machine: the overflow log, committed
+    // after every machine's entries.
     std::lock_guard<std::mutex> lock(overflow_mu_);
-    if (overflow_.entries.empty()) dirty_.mark(DirtyBuffers::kOverflow);
-    overflow_.entries.push_back({shard, std::move(key), std::move(value)});
+    logs_[overflow_slot()].entries.push_back(
+        {shard, kNoMachine, std::move(key), std::move(value)});
   }
 
   Runtime& rt_;
@@ -605,45 +636,139 @@ class StagedTable : public TableBase {
   Merge policy_;
 
  private:
+  static constexpr std::uint32_t kNoMachine = ~0u;
+
+  // `machine` sits in the padding after `shard` for 8-byte keys, so the tag
+  // costs the dense tables nothing.
   struct Staged {
     std::uint32_t shard;
+    std::uint32_t machine;  // commit order; kNoMachine in the overflow log
     Key key;
     V value;
   };
-  // One per virtual machine, plus the dedicated overflow buffer. A buffer is
-  // only ever appended to by the thread running its machine, partitioned by
-  // one phase-A task, and read by phase-B tasks — never concurrently.
-  struct Buffer {
+  // One log per round participant plus the overflow log. During a round a
+  // log is appended to by one thread only; at the barrier its blocks are
+  // partitioned by phase-A tasks and read by phase-B tasks — never
+  // concurrently. Padded to two cache lines, so that appends to neighbouring
+  // logs share no line whatever the allocation's alignment (an over-aligned
+  // type would take the slower aligned allocator on every fresh table).
+  struct Log {
+    Log() {}  // user-provided, so constructing a table leaves pad unwritten
     std::vector<Staged> entries;
-    std::vector<Staged> parted;            // entries grouped by shard
-    std::vector<std::uint32_t> offsets;    // per-shard ranges into parted
+    char pad[128 - sizeof(std::vector<Staged>)];
+  };
+  // A phase-A task: entries [lo, hi) of log `slot`, partitioned into
+  // parted_[base, base + hi - lo).
+  struct Block {
+    std::uint32_t slot;
+    std::uint32_t lo;
+    std::uint32_t hi;
+    std::uint32_t base;
+  };
+  // A log's unread entries during the commit walk: [first, last), then in
+  // phase B the same shard's slices of the log's blocks [block, end_block).
+  struct Run {
+    Staged* first;
+    Staged* last;
+    std::uint32_t block;
+    std::uint32_t end_block;
+  };
+  // One Run per dirty log: on the stack up to kInline, on the heap beyond.
+  class Runs {
+   public:
+    explicit Runs(std::size_t n) {
+      if (n > kInline) heap_.resize(n);
+    }
+    Run* data() { return heap_.empty() ? inline_ : heap_.data(); }
+    Run& operator[](std::size_t i) { return data()[i]; }
+
+   private:
+    static constexpr std::size_t kInline = 64;
+    Run inline_[kInline];
+    std::vector<Run> heap_;
   };
 
-  static void clear(Buffer& buf) {
-    buf.entries.clear();
-    buf.parted.clear();
-    buf.offsets.clear();
+  static constexpr std::uint64_t kMinPartitionBlock = 256;
+
+  [[nodiscard]] std::size_t overflow_slot() const { return logs_.size() - 1; }
+
+  template <class T>
+  static void release_above(std::vector<T>& v, std::uint64_t keep) {
+    if (v.capacity() > keep) std::vector<T>().swap(v);
   }
 
-  // The overflow buffer is addressed by the dirty sentinel — a member of its
-  // own (not a vector slot) so begin_round growth can never repurpose it as
-  // a machine buffer, and the sentinel's max value keeps its commit-last
-  // position through the sealed ordering.
-  [[nodiscard]] Buffer& buffer_at(std::uint32_t id) {
-    return id == DirtyBuffers::kOverflow ? overflow_ : buffers_[id];
+  // Moves an exhausted run on to `shard`'s slice of its log's next
+  // non-empty block; false once the log has nothing left.
+  bool refill(Run& r, std::size_t shard) {
+    while (r.first == r.last && r.block != r.end_block) {
+      const std::uint32_t* off = &offsets_[r.block++ * stride_];
+      r.first = parted_.data() + off[shard];
+      r.last = parted_.data() + off[shard + 1];
+    }
+    return r.first != r.last;
   }
 
-  std::vector<Buffer> buffers_;  // grown by begin_round, one per machine
-  Buffer overflow_;              // driver-side writes, commits last
+  // Applies one Run per dirty log (runs[d] <-> dirty_[d]) in commit order.
+  // Each machine log is ascending in machine id and holds all of a
+  // machine's entries contiguously (one machine runs on one thread), so a
+  // merge by machine id restores machine-id order; the overflow log, last in
+  // dirty_ when dirty, follows. A log's blocks chain into its one run, so a
+  // machine whose entries straddle two blocks stays in program order.
+  void apply_in_order(Run* runs, std::size_t shard) {
+    Derived& self = static_cast<Derived&>(*this);
+    std::size_t n = dirty_.size();
+    const bool overflow = n != 0 && dirty_[n - 1] == overflow_slot();
+    if (overflow) --n;
+    for (;;) {
+      // The run holding the lowest pending machine id, and the lowest id
+      // pending in any other run: every entry below that bound goes next.
+      std::size_t best = n;
+      std::uint32_t lo = kNoMachine;
+      std::uint32_t bound = kNoMachine;
+      for (std::size_t d = 0; d < n; ++d) {
+        if (!refill(runs[d], shard)) continue;
+        const std::uint32_t m = runs[d].first->machine;
+        if (m < lo) {
+          bound = lo;
+          lo = m;
+          best = d;
+        } else if (m < bound) {
+          bound = m;
+        }
+      }
+      if (best == n) break;
+      Run& r = runs[best];
+      do {
+        self.commit_entry(r.first->shard, r.first->key, r.first->value);
+      } while (++r.first != r.last && r.first->machine < bound);
+    }
+    if (overflow) {
+      for (Run& r = runs[n]; refill(r, shard); r.first = r.last) {
+        for (Staged* e = r.first; e != r.last; ++e) {
+          self.commit_entry(e->shard, e->key, e->value);
+        }
+      }
+    }
+  }
+
+  std::vector<Log> logs_;  // slot-indexed (MachineContext::slot), overflow last
   std::mutex overflow_mu_;
-  DirtyBuffers dirty_;
+  std::vector<std::uint32_t> dirty_;  // sealed: non-empty log slots, ascending
+  // Phase-A scratch: the blocks, each dirty log's first block (plus an end
+  // sentinel), the blocks grouped by shard, and per block its shards + 1
+  // bounds into parted_ (stride_ apart).
+  std::vector<Block> blocks_;
+  std::vector<std::uint32_t> first_block_;
+  std::vector<Staged> parted_;
+  std::vector<std::uint32_t> offsets_;
+  std::size_t stride_ = 1;
 };
 
 }  // namespace detail
 
 // Sharded hash table with AMPC visibility semantics. Reads see only data
-// committed at a previous round barrier; put() stages into the writing
-// machine's private buffer (lock-free — see the header comment).
+// committed at a previous round barrier; put() stages into the running
+// thread's staging log (lock-free — see the header comment).
 template <class K, class V, class Hash>
 class Table final : public detail::StagedTable<Table<K, V, Hash>, K, V> {
  public:
@@ -686,6 +811,18 @@ class Table final : public detail::StagedTable<Table<K, V, Hash>, K, V> {
     return size() * words_per_kv();
   }
 
+  // Estimate: one node (value plus next pointer) per entry, the bucket
+  // arrays and the shard headers.
+  [[nodiscard]] std::uint64_t storage_bytes() const override {
+    constexpr std::uint64_t kNode =
+        sizeof(void*) + sizeof(typename Shard::Map::value_type);
+    std::uint64_t bytes = shards_vec_.capacity() * sizeof(Shard);
+    for (const auto& s : shards_vec_) {
+      bytes += s.data.size() * kNode + s.data.bucket_count() * sizeof(void*);
+    }
+    return bytes;
+  }
+
   [[nodiscard]] std::uint64_t size() const {
     std::uint64_t n = 0;
     for (const auto& s : shards_vec_) n += s.data.size();
@@ -702,9 +839,9 @@ class Table final : public detail::StagedTable<Table<K, V, Hash>, K, V> {
   }
 
   // Pool-reset (Runtime::lease_table): restore constructed state in place.
-  // Map clears keep bucket arrays, staging buffers and dirty slots keep
-  // their capacity — only entries actually committed since the last reset
-  // cost anything.
+  // Map clears keep bucket arrays, staging logs keep their (capped)
+  // capacity — only entries actually committed since the last reset cost
+  // anything.
   void reset(std::string name, Merge policy, std::size_t shards) {
     this->name_ = std::move(name);
     this->policy_ = policy;
@@ -713,7 +850,7 @@ class Table final : public detail::StagedTable<Table<K, V, Hash>, K, V> {
     for (auto& s : shards_vec_) {
       if (!s.data.empty()) s.data.clear();
     }
-    this->finish_commit();  // drop any staged-but-uncommitted leftovers
+    this->finish_commit(~0ull);  // drop any staged-but-uncommitted leftovers
   }
 
   [[nodiscard]] std::size_t num_commit_shards() const override {
@@ -724,7 +861,8 @@ class Table final : public detail::StagedTable<Table<K, V, Hash>, K, V> {
   friend class detail::StagedTable<Table, K, V>;
 
   struct Shard {
-    std::unordered_map<K, V, Hash> data;
+    using Map = std::unordered_map<K, V, Hash>;
+    Map data;
   };
 
   static constexpr std::uint64_t words_per_kv() {
@@ -780,8 +918,8 @@ class DenseTable final
   [[nodiscard]] std::size_t size() const { return data_.size(); }
 
   // Pool-reset (Runtime::lease_dense): restore constructed state in place,
-  // reusing the heap block whenever capacity suffices (staging buffers and
-  // dirty slots always keep theirs). The init fill takes the memset path for
+  // reusing the heap block whenever capacity suffices (staging logs keep
+  // their capped capacity). The init fill takes the memset path for
   // uniform byte patterns — 0 and kNoNext (all-0xFF) cover nearly every
   // table in the algorithm layer, and element-wise std::fill measured ~4×
   // slower than memset on the lease microbench.
@@ -807,11 +945,15 @@ class DenseTable final
       }
     }
     if (!filled) data_.assign(size, init);
-    this->finish_commit();  // drop any staged-but-uncommitted leftovers
+    this->finish_commit(~0ull);  // drop any staged-but-uncommitted leftovers
   }
 
   [[nodiscard]] std::uint64_t size_words() const override {
     return data_.size() * words_per_v();
+  }
+
+  [[nodiscard]] std::uint64_t storage_bytes() const override {
+    return data_.capacity() * sizeof(V);
   }
 
   [[nodiscard]] std::size_t num_commit_shards() const override {
@@ -927,6 +1069,15 @@ class RuntimeArena {
     return Lease(this, std::move(rt));
   }
 
+  // Runtime::pool_stats summed over the runtimes in the arena — all of them
+  // when no lease is out, as between solves.
+  [[nodiscard]] Runtime::PoolStats pool_stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    Runtime::PoolStats total;
+    for (const auto& rt : free_) total += rt->pool_stats();
+    return total;
+  }
+
  private:
   friend class Lease;
   void release(std::unique_ptr<Runtime> rt) {
@@ -935,7 +1086,7 @@ class RuntimeArena {
   }
 
   ThreadPool* pool_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::vector<std::unique_ptr<Runtime>> free_;  // guarded by mu_
 };
 

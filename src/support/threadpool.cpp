@@ -6,6 +6,12 @@
 
 namespace ampccut {
 
+namespace {
+// Set once by each worker thread at start; read by worker_index().
+thread_local const ThreadPool* tl_pool = nullptr;
+thread_local std::size_t tl_worker = 0;
+}  // namespace
+
 struct ThreadPool::Batch {
   std::size_t count = 0;
   const std::function<void(std::size_t)>* body = nullptr;
@@ -54,8 +60,16 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   }
   threads_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
+    threads_.emplace_back([this, i] {
+      tl_pool = this;
+      tl_worker = i;
+      worker_loop();
+    });
   }
+}
+
+std::size_t ThreadPool::worker_index() const {
+  return tl_pool == this ? tl_worker : threads_.size();
 }
 
 ThreadPool::~ThreadPool() {

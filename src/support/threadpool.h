@@ -45,6 +45,13 @@ class ThreadPool {
 
   std::size_t num_threads() const { return threads_.size(); }
 
+  // The calling thread's index among this pool's workers, in
+  // [0, num_threads()), or num_threads() for any other thread. So
+  // [0, num_threads()] numbers every thread that can run an iteration of
+  // this pool's parallel_for — its workers and the one caller — and a
+  // worker of another pool never shares an index with a worker of this one.
+  std::size_t worker_index() const;
+
   // Runs body(i) for i in [0, count) across the pool and blocks until all
   // iterations complete. Every iteration runs even when some throw; the
   // exception of the lowest throwing index is rethrown on the caller thread,

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <thread>
 
 #include "ampc/runtime.h"
 
@@ -37,9 +39,10 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted_snapshot(
   return snap;
 }
 
-// Two rounds over 16 machines hammering shared and private keys through all
-// four merge policies plus a dense kSum table; also a driver-side put
-// (overflow slot) between the rounds.
+// Two rounds over 256 machines — sixteen of the pool's 16-machine chunks,
+// enough to spread over every thread — hammering shared and private keys
+// through all four merge policies plus a dense kSum table; also a
+// driver-side put (overflow log) between the rounds.
 Outcome run_workload(ThreadPool& pool) {
   Config cfg = Config::for_problem(1 << 12, 0.5);
   Runtime rt(cfg, &pool);
@@ -47,9 +50,9 @@ Outcome run_workload(ThreadPool& pool) {
   Table<std::uint64_t, std::uint64_t> tmax(rt, "max", Merge::kMax);
   Table<std::uint64_t, std::uint64_t> tsum(rt, "sum", Merge::kSum);
   Table<std::uint64_t, std::uint64_t> tovr(rt, "ovr", Merge::kOverwrite);
-  DenseTable<std::uint64_t> dense(rt, "dense", 64, 5, Merge::kSum);
+  constexpr std::size_t kMachines = 256;
+  DenseTable<std::uint64_t> dense(rt, "dense", 8 + kMachines, 5, Merge::kSum);
 
-  constexpr std::size_t kMachines = 16;
   rt.round("phase1", kMachines, [&](MachineContext& ctx) {
     const auto m = static_cast<std::uint64_t>(ctx.machine_id());
     for (std::uint64_t k = 0; k < 4; ++k) {
@@ -63,7 +66,7 @@ Outcome run_workload(ThreadPool& pool) {
     dense.put(8 + m, m);
   });
 
-  // Driver-side write outside any machine: staged in the overflow slot,
+  // Driver-side write outside any machine: staged in the overflow log,
   // visible after the next barrier.
   tovr.put(7777, 42);
 
@@ -96,12 +99,72 @@ Outcome run_workload(ThreadPool& pool) {
 
 TEST(RuntimeConcurrency, OneThreadAndManyThreadsAgreeExactly) {
   ThreadPool one(1);
+  const Outcome want = run_workload(one);
+  for (const std::size_t width : {2u, 3u, 4u, 8u}) {
+    ThreadPool many(width);
+    EXPECT_EQ(run_workload(many), want) << "width " << width;
+    // Repeatability on the same pool.
+    EXPECT_EQ(run_workload(many), want) << "width " << width;
+  }
+  // Rounds driven from a worker of a second pool, as the recursion's
+  // dedicated pool does: the driver is none of `many`'s workers, so it
+  // stages in the extra slot, although its index in `driver` equals that of
+  // one of `many`'s workers. The main thread waits without helping, so the
+  // task cannot run on it.
   ThreadPool many(4);
-  const Outcome a = run_workload(one);
-  const Outcome b = run_workload(many);
-  const Outcome c = run_workload(many);  // repeatability on the same pool
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(b, c);
+  ThreadPool driver(2);
+  Outcome from_worker;
+  bool on_worker = false;
+  std::atomic<bool> done{false};
+  ThreadPool::TaskGroup group(driver);
+  group.run([&] {
+    on_worker = driver.worker_index() < driver.num_threads();
+    from_worker = run_workload(many);
+    done.store(true);
+  });
+  while (!done.load()) std::this_thread::yield();
+  group.wait();
+  EXPECT_TRUE(on_worker);
+  EXPECT_EQ(from_worker, want);
+}
+
+TEST(RuntimeConcurrency, StagingFollowsWritesNotMachines) {
+  // 20 tables and a 20,000-machine round in which one machine writes one
+  // entry: staging holds that entry, not a slot per (table, machine).
+  ThreadPool many(4);
+  Runtime rt(Config::for_problem(1 << 12, 0.5), &many);
+  std::vector<std::unique_ptr<DenseTable<std::uint64_t>>> tables;
+  for (int i = 0; i < 20; ++i) {
+    tables.push_back(
+        std::make_unique<DenseTable<std::uint64_t>>(rt, "d", 64, 0));
+  }
+  rt.round("sparse", 20000, [&](MachineContext& ctx) {
+    if (ctx.machine_id() == 12345) tables[7]->put(3, 1);
+  });
+  EXPECT_EQ(tables[7]->raw(3), 1u);
+  EXPECT_LT(rt.pool_stats().staging_bytes, 4096u);
+  EXPECT_EQ(rt.pool_stats().storage_bytes, 20u * 64 * sizeof(std::uint64_t));
+}
+
+TEST(RuntimeConcurrency, RetainedStagingFollowsTheLastRound) {
+  ThreadPool many(4);
+  Runtime rt(Config::for_problem(1 << 20, 0.5), &many);
+  DenseTable<std::uint64_t> big(rt, "big", 100000, 0);
+  DenseTable<std::uint64_t> small(rt, "small", 16, 0);
+  // The bytes one staged entry retains.
+  rt.round("one", 1, [&](MachineContext&) { small.put(0, 1); });
+  const std::uint64_t entry_bytes = rt.pool_stats().staging_bytes;
+  ASSERT_GT(entry_bytes, 0u);
+  rt.round_over_items("bulk", 100000, [&](MachineContext&, std::uint64_t i) {
+    big.put(i, i);
+  });
+  EXPECT_GE(rt.pool_stats().staging_bytes, 100000 * entry_bytes);
+  rt.round("tail", 10, [&](MachineContext& ctx) {
+    small.put(ctx.machine_id(), 2);
+  });
+  EXPECT_LE(rt.pool_stats().staging_bytes, 2 * 10 * entry_bytes);
+  EXPECT_EQ(big.raw(99999), 99999u);
+  EXPECT_EQ(small.raw(9), 2u);
 }
 
 TEST(RuntimeConcurrency, OverwriteResolvesToHighestMachineId) {
@@ -256,9 +319,9 @@ TEST(RuntimeConcurrency, BudgetViolationCountingUnchanged) {
 
 TEST(RuntimeConcurrency, DriverWritesCommitLastEvenWhenRoundsGrow) {
   // A driver-side put staged between rounds must commit AFTER every machine
-  // buffer of the next round — including machines that did not exist in the
-  // previous round (the overflow buffer must not be repurposed as a machine
-  // buffer when begin_round grows the buffer vector).
+  // entry of the next round — including machines that did not exist in the
+  // previous round: the overflow log merges after every participant's log,
+  // whatever the round's machine count.
   ThreadPool many(4);
   Runtime rt(Config::for_problem(1 << 12, 0.5), &many);
   Table<std::uint64_t, std::uint64_t> t(rt, "ovr", Merge::kOverwrite);
@@ -273,8 +336,8 @@ TEST(RuntimeConcurrency, DriverWritesCommitLastEvenWhenRoundsGrow) {
 }
 
 TEST(RuntimeConcurrency, TableRegisteredMidRoundStagesCorrectly) {
-  // A table constructed inside a round body (machine 0 only) must still get
-  // machine-indexed staging buffers via register_table.
+  // A table constructed inside a round body (machine 0 only) must still
+  // stage that machine's write: its logs exist from construction on.
   ThreadPool many(4);
   Runtime rt(Config::for_problem(1 << 12, 0.5), &many);
   std::optional<DenseTable<std::uint64_t>> late;

@@ -238,6 +238,41 @@ TEST(TablePool, ArenaHandsOutDistinctRuntimesConcurrently) {
 // End-to-end: the full singleton tracker re-run on a reused runtime (every
 // table a pool hit) must reproduce its fresh-runtime result AND metrics —
 // the pooling analogue of the determinism contract.
+TEST(TablePool, PoolStatsCountLiveAndPooledBytes) {
+  ThreadPool pool(2);
+  RuntimeArena arena(&pool);
+  Runtime::PoolStats each[2];
+  {
+    RuntimeArena::Lease a = arena.acquire(Config::for_problem(1 << 10, 0.5));
+    RuntimeArena::Lease b = arena.acquire(Config::for_problem(1 << 10, 0.5));
+    int i = 0;
+    for (Runtime* rt : {&*a, &*b}) {
+      auto d = rt->lease_dense<std::uint64_t>("d", 1000, 0);
+      auto t = rt->lease_table<std::uint64_t, std::uint64_t>("t");
+      rt->round("w", 8, [&](MachineContext& ctx) {
+        d->put(ctx.machine_id(), 1);
+        t->put(ctx.machine_id(), 1);
+      });
+      const Runtime::PoolStats live = rt->pool_stats();
+      EXPECT_GE(live.storage_bytes, 1000 * sizeof(std::uint64_t));
+      EXPECT_GT(live.staging_bytes, 0u);
+      d.release();
+      t.release();
+      // Released tables keep their storage in the pool, and still count.
+      const Runtime::PoolStats pooled = rt->pool_stats();
+      EXPECT_EQ(pooled.storage_bytes, live.storage_bytes);
+      EXPECT_EQ(pooled.staging_bytes, live.staging_bytes);
+      EXPECT_EQ(pooled.leases, 2u);
+      each[i++] = pooled;
+    }
+  }
+  const Runtime::PoolStats total = arena.pool_stats();
+  EXPECT_EQ(total.leases, 4u);
+  EXPECT_EQ(total.reuses, 0u);
+  EXPECT_EQ(total.staging_bytes, each[0].staging_bytes + each[1].staging_bytes);
+  EXPECT_EQ(total.storage_bytes, each[0].storage_bytes + each[1].storage_bytes);
+}
+
 TEST(TablePool, SingletonTrackerBitIdenticalOnReusedRuntime) {
   const WGraph g = gen_random_connected(96, 320, 11);
   const ContractionOrder order = make_contraction_order(g, 3);
