@@ -602,13 +602,16 @@ class StagedTable : public TableBase {
   }
   ~StagedTable() override { rt_.unregister_table(this); }
 
-  // Read-side accounting: fault point, then `words` against the machine's
-  // budget. Driver-side reads (no active machine) count nothing.
+  // Read-side accounting: fault point, then `words` against the budget of
+  // `ctx`, the machine doing the read.
+  void account_read(MachineContext& ctx, std::uint64_t words) const {
+    rt_.fault_point_read(ctx);
+    ctx.count_read(words);
+  }
+  // The same, charged to the thread's active machine; driver-side reads (no
+  // active machine) count nothing.
   void account_read(std::uint64_t words) const {
-    if (auto* ctx = MachineContext::current()) {
-      rt_.fault_point_read(*ctx);
-      ctx->count_read(words);
-    }
+    if (auto* ctx = MachineContext::current()) account_read(*ctx, words);
   }
 
   // Staged write of `words` words into `shard`; visible after the enclosing
@@ -900,6 +903,14 @@ class DenseTable final
                                                           policy),
         data_(size, init), shard_size_(shard_size_for(size)) {}
 
+  // Adaptive read during a round, charged to `ctx`: the round bodies of the
+  // algorithm layer read through this (DESIGN.md "Counted reads").
+  V get(MachineContext& ctx, std::uint64_t i) const {
+    REPRO_DCHECK(i < data_.size());
+    this->account_read(ctx, words_per_v());
+    return data_[i];
+  }
+  // The same read, charged to the thread's active machine (if any).
   V get(std::uint64_t i) const {
     REPRO_DCHECK(i < data_.size());
     this->account_read(words_per_v());

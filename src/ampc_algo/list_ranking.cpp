@@ -78,8 +78,8 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
     // Round 1: every element flips its sampling coin; tails always sample
     // (the recursion must retain every list's anchor).
     rt.round_over_items("list_rank.sample", n,
-                        [&](MachineContext&, std::uint64_t i) {
-      const bool tail = t_next->get(i) == kNoNext;
+                        [&](MachineContext& ctx, std::uint64_t i) {
+      const bool tail = t_next->get(ctx, i) == kNoNext;
       const bool coin = Rng(splitmix64(lvl_seed ^ i)).next_bernoulli(q);
       if (tail || coin) t_sampled->put(i, 1);
     });
@@ -92,14 +92,16 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
       t_segsum.push_back(rt.lease_dense<std::int64_t>("lr.segsum", n, 0));
     }
     rt.round_over_items("list_rank.walk", n,
-                        [&](MachineContext&, std::uint64_t i) {
-      if (!t_sampled->get(i)) return;
+                        [&](MachineContext& ctx, std::uint64_t i) {
+      if (!t_sampled->get(ctx, i)) return;
       Acc acc{};
-      for (std::size_t c = 0; c < k; ++c) acc[c] = t_val.cols[c]->get(i);
-      std::uint64_t j = t_next->get(i);
-      while (j != kNoNext && !t_sampled->get(j)) {
-        for (std::size_t c = 0; c < k; ++c) acc[c] += t_val.cols[c]->get(j);
-        j = t_next->get(j);
+      for (std::size_t c = 0; c < k; ++c) acc[c] = t_val.cols[c]->get(ctx, i);
+      std::uint64_t j = t_next->get(ctx, i);
+      while (j != kNoNext && !t_sampled->get(ctx, j)) {
+        for (std::size_t c = 0; c < k; ++c) {
+          acc[c] += t_val.cols[c]->get(ctx, j);
+        }
+        j = t_next->get(ctx, j);
       }
       t_succ->put(i, j);
       for (std::size_t c = 0; c < k; ++c) t_segsum[c]->put(i, acc[c]);
@@ -128,12 +130,14 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
         t_rank.push_back(rt.lease_dense<std::int64_t>("lr.walkout", n, 0));
       }
       rt.round_over_items("list_rank.direct_walk", n,
-                          [&](MachineContext&, std::uint64_t i) {
+                          [&](MachineContext& ctx, std::uint64_t i) {
         Acc acc{};
-        for (std::size_t c = 0; c < k; ++c) acc[c] = t_val.cols[c]->get(i);
-        for (std::uint64_t j = t_next->get(i); j != kNoNext;
-             j = t_next->get(j)) {
-          for (std::size_t c = 0; c < k; ++c) acc[c] += t_val.cols[c]->get(j);
+        for (std::size_t c = 0; c < k; ++c) acc[c] = t_val.cols[c]->get(ctx, i);
+        for (std::uint64_t j = t_next->get(ctx, i); j != kNoNext;
+             j = t_next->get(ctx, j)) {
+          for (std::size_t c = 0; c < k; ++c) {
+            acc[c] += t_val.cols[c]->get(ctx, j);
+          }
         }
         for (std::size_t c = 0; c < k; ++c) t_rank[c]->put(i, acc[c]);
       });
@@ -167,7 +171,7 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
       t_rank.push_back(rt.lease_dense<std::int64_t>("lr.base.rank", n, 0));
     }
     for (std::uint64_t i = 0; i < n; ++i) t_next->seed(i, base.next[i]);
-    rt.round("list_rank.base", 1, [&](MachineContext&) {
+    rt.round("list_rank.base", 1, [&](MachineContext& ctx) {
       // One machine ranks all chains locally: find heads (elements nobody
       // points to), then suffix-sum each chain back to front.
       std::vector<std::uint64_t> nxt(n);
@@ -176,8 +180,10 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
       std::vector<std::uint8_t> has_pred(n, 0);
       std::vector<std::uint64_t> chain;
       for (std::uint64_t i = 0; i < n; ++i) {
-        nxt[i] = t_next->get(i);
-        for (std::size_t c = 0; c < k; ++c) val[c][i] = t_val.cols[c]->get(i);
+        nxt[i] = t_next->get(ctx, i);
+        for (std::size_t c = 0; c < k; ++c) {
+          val[c][i] = t_val.cols[c]->get(ctx, i);
+        }
         if (nxt[i] != kNoNext) has_pred[nxt[i]] = 1;
       }
       for (std::uint64_t h = 0; h < n; ++h) {
@@ -222,24 +228,28 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
       }
     }
     rt.round_over_items("list_rank.expand", n,
-                        [&](MachineContext&, std::uint64_t i) {
+                        [&](MachineContext& ctx, std::uint64_t i) {
       // rank(i) = values i..pred(s) + rank(s) for the next sampled s.
-      if (t_known->get(i)) {
+      if (t_known->get(ctx, i)) {
         for (std::size_t c = 0; c < k; ++c) {
-          t_rank[c]->put(i, t_rank_s[c]->get(i));
+          t_rank[c]->put(i, t_rank_s[c]->get(ctx, i));
         }
         return;
       }
       Acc acc{};
-      for (std::size_t c = 0; c < k; ++c) acc[c] = t_val.cols[c]->get(i);
-      std::uint64_t j = t_next->get(i);
+      for (std::size_t c = 0; c < k; ++c) acc[c] = t_val.cols[c]->get(ctx, i);
+      std::uint64_t j = t_next->get(ctx, i);
       while (j != kNoNext) {
-        if (t_known->get(j)) {
-          for (std::size_t c = 0; c < k; ++c) acc[c] += t_rank_s[c]->get(j);
+        if (t_known->get(ctx, j)) {
+          for (std::size_t c = 0; c < k; ++c) {
+            acc[c] += t_rank_s[c]->get(ctx, j);
+          }
           break;
         }
-        for (std::size_t c = 0; c < k; ++c) acc[c] += t_val.cols[c]->get(j);
-        j = t_next->get(j);
+        for (std::size_t c = 0; c < k; ++c) {
+          acc[c] += t_val.cols[c]->get(ctx, j);
+        }
+        j = t_next->get(ctx, j);
       }
       for (std::size_t c = 0; c < k; ++c) t_rank[c]->put(i, acc[c]);
     });

@@ -26,11 +26,12 @@ AmpcDecomposition ampc_low_depth_decomposition(Runtime& rt,
   for (VertexId v = 0; v < n; ++v) t_subtree->seed(v, tree.subtree[v]);
   auto t_heavy_prop = rt.lease_table<std::uint64_t, std::uint64_t>(
       "ldd.heavyprop", Merge::kMax);
-  rt.round_over_items("low_depth.heavy", n, [&](MachineContext&, std::uint64_t v) {
+  rt.round_over_items("low_depth.heavy", n,
+                      [&](MachineContext& ctx, std::uint64_t v) {
     const VertexId p = tree.parent[v];
     if (p == kInvalidVertex) return;
     const std::uint64_t enc =
-        (t_subtree->get(v) << 32) | (0xffffffffull - v);
+        (t_subtree->get(ctx, v) << 32) | (0xffffffffull - v);
     t_heavy_prop->put(p, enc);
   });
   std::vector<VertexId> heavy(n, kInvalidVertex);
@@ -79,7 +80,7 @@ AmpcDecomposition ampc_low_depth_decomposition(Runtime& rt,
   }
   auto t_base = rt.lease_dense<std::uint64_t>("ldd.base", n, 0);  // per head
   rt.round_over_items("low_depth.base_depth", n,
-                      [&](MachineContext&, std::uint64_t v) {
+                      [&](MachineContext& ctx, std::uint64_t v) {
     if (d.head[v] != v) return;  // one machine task per head
     // Collect attachment vertices bottom-up.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> geom;  // (pos, len)
@@ -87,8 +88,8 @@ AmpcDecomposition ampc_low_depth_decomposition(Runtime& rt,
     for (;;) {
       const VertexId attach = tree.parent[cur];
       if (attach == kInvalidVertex) break;
-      geom.emplace_back(t_pos->get(attach), t_len->get(attach));
-      cur = static_cast<VertexId>(t_head->get(attach));
+      geom.emplace_back(t_pos->get(ctx, attach), t_len->get(ctx, attach));
+      cur = static_cast<VertexId>(t_head->get(ctx, attach));
     }
     // Resolve top-down: base(root path) = 1; each hop adds the attachment
     // leaf's depth within its binarized path.
@@ -105,11 +106,12 @@ AmpcDecomposition ampc_low_depth_decomposition(Runtime& rt,
   // --- Labels: pure local arithmetic per vertex (one round). --------------
   auto t_label = rt.lease_dense<std::uint64_t>("ldd.label", n, 0);
   auto t_leafd = rt.lease_dense<std::uint64_t>("ldd.leafd", n, 0);
-  rt.round_over_items("low_depth.label", n, [&](MachineContext&, std::uint64_t v) {
-    const std::uint64_t h = t_head->get(v);
-    const std::uint64_t base = t_base->get(h);
-    const std::uint64_t L = t_len->get(v);
-    const std::uint64_t j = t_pos->get(v);
+  rt.round_over_items("low_depth.label", n,
+                      [&](MachineContext& ctx, std::uint64_t v) {
+    const std::uint64_t h = t_head->get(ctx, v);
+    const std::uint64_t base = t_base->get(ctx, h);
+    const std::uint64_t L = t_len->get(ctx, v);
+    const std::uint64_t j = t_pos->get(ctx, v);
     const auto leaf = binpath::leaf_index(L, j);
     t_label->put(v, base + binpath::leaf_label(L, leaf) - 1);
     t_leafd->put(v, base + binpath::depth(leaf) - 1);

@@ -30,12 +30,13 @@ std::vector<EdgeId> ampc_msf_boruvka(Runtime& rt, const WGraph& g,
     for (VertexId v = 0; v < n; ++v) t_comp->seed(v, comp[v]);
     auto t_min_edge =
         rt.lease_table<std::uint64_t, std::uint64_t>("msf.minedge", Merge::kMin);
-    rt.round_over_items("msf.propose", n, [&](MachineContext& ctx, std::uint64_t v) {
-      const std::uint64_t cv = t_comp->get(v);
+    rt.round_over_items("msf.propose", n,
+                        [&](MachineContext& ctx, std::uint64_t v) {
+      const std::uint64_t cv = t_comp->get(ctx, v);
       ctx.count_read(adj.degree(static_cast<VertexId>(v)));
       std::uint64_t best = kNoNext;
       for (const auto& arc : adj.neighbors(static_cast<VertexId>(v))) {
-        if (t_comp->get(arc.to) == cv) continue;
+        if (t_comp->get(ctx, arc.to) == cv) continue;
         const std::uint64_t key =
             (static_cast<std::uint64_t>(order.time[arc.edge]) << 32) | arc.edge;
         best = std::min(best, key);
@@ -63,12 +64,13 @@ std::vector<EdgeId> ampc_msf_boruvka(Runtime& rt, const WGraph& g,
     }
     (void)budget;
     auto t_new = rt.lease_dense<std::uint64_t>("msf.newlabel", n);
-    rt.round_over_items("msf.contract", n, [&](MachineContext&, std::uint64_t v) {
-      std::uint64_t cur = t_comp->get(v);
+    rt.round_over_items("msf.contract", n,
+                        [&](MachineContext& ctx, std::uint64_t v) {
+      std::uint64_t cur = t_comp->get(ctx, v);
       for (std::uint64_t hops = 0; hops <= n; ++hops) {
-        const std::uint64_t h = t_hook->get(cur);
+        const std::uint64_t h = t_hook->get(ctx, cur);
         if (h == kNoNext) break;  // root: component proposed nothing
-        const std::uint64_t hh = t_hook->get(h);
+        const std::uint64_t hh = t_hook->get(ctx, h);
         if (hh == cur) {  // 2-cycle: smaller label wins
           cur = std::min(cur, h);
           break;

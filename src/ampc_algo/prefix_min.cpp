@@ -71,7 +71,7 @@ std::vector<MinPrefixResult> segmented_min_prefix_sum(
       Summary s;
       std::int64_t acc = 0;
       for (std::uint64_t i = u.lo; i < u.hi; ++i) {
-        acc += t_vals->get(i);
+        acc += t_vals->get(ctx, i);
         if (acc < s.min_prefix) {
           s.min_prefix = acc;
           s.argmin = i - offsets[u.seg];
@@ -111,7 +111,7 @@ std::vector<MinPrefixResult> segmented_min_prefix_sum(
                acc.min_prefix = std::numeric_limits<std::int64_t>::max();
                bool first = true;
                for (std::uint64_t k = u.lo; k < u.hi; ++k) {
-                 const Summary s = t_in->get(k);
+                 const Summary s = t_in->get(ctx, k);
                  acc = first ? s : combine(acc, s);
                  first = false;
                }

@@ -93,8 +93,9 @@ class AmpcHldRmq {
   // (vertex, level) pair with a leader, plus ldr_time's boundary candidates).
   // Reads go through raw() with a local counter that is flushed to the
   // caller's machine context once per query — the counted word totals are
-  // exactly what per-access get() would have produced, without a
-  // thread-local lookup per word.
+  // exactly what per-access get(ctx, i) would have produced. Every caller
+  // has already read through get(ctx, i) on the same machine, so the read
+  // fault point fires as it would per word (DESIGN.md "Counted reads").
   TimeStep query(MachineContext* ctx, VertexId u, VertexId v) const {
     if (u == v) return 0;
     std::uint64_t reads = 0;
@@ -222,17 +223,6 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
     }
   }
 
-  // Counted read through the caller's machine context: one word per access,
-  // exactly what get() counts via the thread-local lookup, minus the lookup.
-  // The round bodies below are the measured hot loops of the tracker, so
-  // their reads all go through this.
-  const auto rd = [](MachineContext& ctx,
-                     const TableLease<DenseTable<std::uint64_t>>& t,
-                     std::uint64_t i) {
-    ctx.count_read(1);  // words_per_v() == 1 for uint64 values
-    return t->raw(i);
-  };
-
   // The arithmetic component walk (proof of Lemma 10): from x at level i,
   // hop path-by-path toward the component's top path. Labels on a path are
   // base_depth + binlabel - 1, so "global label < i" is a pure binarized-
@@ -241,10 +231,10 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
     ClimbResult r;
     VertexId cur = x;
     for (;;) {
-      const std::uint64_t hd = rd(ctx, t_head, cur);
-      const std::uint64_t L = rd(ctx, t_len, cur);
-      const std::uint64_t j = rd(ctx, t_pos, cur);
-      const std::uint64_t base = rd(ctx, t_base, cur);
+      const std::uint64_t hd = t_head->get(ctx, cur);
+      const std::uint64_t L = t_len->get(ctx, cur);
+      const std::uint64_t j = t_pos->get(ctx, cur);
+      const std::uint64_t base = t_base->get(ctx, cur);
       std::uint64_t a = bp::kNoPosition, b = bp::kNoPosition;
       if (i > base) {
         const auto bound = static_cast<std::uint32_t>(i - base + 1);
@@ -252,9 +242,9 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
         b = bp::nearest_smaller_right(L, j, bound);
       }
       if (a == bp::kNoPosition) {
-        const std::uint64_t attach = rd(ctx, t_parent, hd);
+        const std::uint64_t attach = t_parent->get(ctx, hd);
         if (attach != kNoNext &&
-            rd(ctx, t_label, attach) >= i) {  // component extends upward
+            t_label->get(ctx, attach) >= i) {  // component extends upward
           cur = static_cast<VertexId>(attach);
           continue;
         }
@@ -268,16 +258,16 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
       const std::uint64_t hi = (b == bp::kNoPosition) ? L - 1 : b - 1;
       const auto m = bp::min_label_in_range(L, lo, hi);
       if (base + m.label - 1 == i) {
-        const std::uint64_t poff = rd(ctx, t_path_off, hd);
-        r.leader = static_cast<VertexId>(rd(ctx, t_vertex_at, poff + m.pos));
+        const std::uint64_t poff = t_path_off->get(ctx, hd);
+        r.leader = static_cast<VertexId>(t_vertex_at->get(ctx, poff + m.pos));
       }
       return r;
     }
   };
   auto vertex_on_top_path = [&](MachineContext& ctx, VertexId top,
                                 std::uint64_t position) {
-    const std::uint64_t poff = rd(ctx, t_path_off, rd(ctx, t_head, top));
-    return static_cast<VertexId>(rd(ctx, t_vertex_at, poff + position));
+    const std::uint64_t poff = t_path_off->get(ctx, t_head->get(ctx, top));
+    return static_cast<VertexId>(t_vertex_at->get(ctx, poff + position));
   };
 
   // 4. Leader and join time of every (vertex, level) pair, levels in
@@ -285,18 +275,39 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
   // the word packs (join << 32) | leader, join = pathmax(leader, v) being
   // the time v's bag joins the leader's. Both halves are 32-bit and
   // leader < n, so kNoNext (all ones) still means "no leader".
-  auto t_leader = rt.lease_dense<std::uint64_t>(
-      "sc.leader", static_cast<std::uint64_t>(n) * h, kNoNext);
-  rt.round_over_items("singleton.leaders",
-                      static_cast<std::uint64_t>(n) * h,
-                      [&](MachineContext& ctx, std::uint64_t item) {
-    const auto v = static_cast<VertexId>(item / h);
-    const auto i = static_cast<std::uint32_t>(item % h) + 1;
-    if (rd(ctx, t_label, v) < i) return;  // v not alive at this level
-    const ClimbResult r = climb(ctx, v, i);
-    if (r.leader == kInvalidVertex) return;
-    const TimeStep join = pm.query(&ctx, r.leader, v);
-    t_leader->put(item, (static_cast<std::uint64_t>(join) << 32) | r.leader);
+  //
+  // The items of one vertex are consecutive, so each machine walks its
+  // chunk per vertex (per "owner"; an owner can straddle two machines) and
+  // reads the owner's label once. In the model every item reads label[v],
+  // and items above it exit there: that dead tail is one bulk count of the
+  // same words (DESIGN.md "Counted reads").
+  const std::uint64_t per =
+      std::max<std::uint64_t>(1, rt.config().machine_memory_words);
+  const std::uint64_t leader_items = static_cast<std::uint64_t>(n) * h;
+  auto t_leader = rt.lease_dense<std::uint64_t>("sc.leader", leader_items,
+                                                kNoNext);
+  rt.round("singleton.leaders", rt.config().num_machines(leader_items),
+           [&](MachineContext& ctx) {
+    const std::uint64_t begin = ctx.machine_id() * per;
+    const std::uint64_t end = std::min(leader_items, begin + per);
+    auto v = static_cast<VertexId>(begin / h);
+    for (std::uint64_t item = begin; item < end; ++v) {
+      const std::uint64_t owner = static_cast<std::uint64_t>(v) * h;
+      const std::uint64_t owner_end = std::min(end, owner + h);
+      const std::uint64_t label = t_label->get(ctx, v);
+      ctx.count_read(owner_end - item - 1);  // the other items' label reads
+      // Levels 1..label are alive; the items above exit at the label read.
+      for (const std::uint64_t live_end = std::min(owner_end, owner + label);
+           item < live_end; ++item) {
+        const auto i = static_cast<std::uint32_t>(item - owner) + 1;
+        const ClimbResult r = climb(ctx, v, i);
+        if (r.leader == kInvalidVertex) continue;
+        const TimeStep join = pm.query(&ctx, r.leader, v);
+        t_leader->put(item,
+                      (static_cast<std::uint64_t>(join) << 32) | r.leader);
+      }
+      item = owner_end;
+    }
   });
   const auto leader_of = [](std::uint64_t word) {
     return static_cast<VertexId>(word & 0xffffffffu);
@@ -312,7 +323,7 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
   auto t_ldr = rt.lease_dense<std::uint64_t>("sc.ldr", n, 0);
   rt.round_over_items("singleton.ldr_time", n,
                       [&](MachineContext& ctx, std::uint64_t v) {
-    const auto i = static_cast<std::uint32_t>(rd(ctx, t_label, v));
+    const auto i = static_cast<std::uint32_t>(t_label->get(ctx, v));
     const ClimbResult r = climb(ctx, static_cast<VertexId>(v), i);
     REPRO_CHECK_MSG(r.leader == static_cast<VertexId>(v),
                     "leader must resolve to itself at its own level");
@@ -346,63 +357,74 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
     Weight w;
   };
   const std::uint64_t items = static_cast<std::uint64_t>(g.m()) * h;
-  const std::uint64_t per =
-      std::max<std::uint64_t>(1, rt.config().machine_memory_words);
   // Each machine assigns its interval chunk to its own slot (once per
   // attempt, so a replayed round overwrites its own output and recovery
   // stays exact). Concatenating the slots in machine-id order below fixes
-  // the interval order independent of thread schedule.
+  // the interval order independent of thread schedule. A machine collects
+  // its intervals in its thread's scratch (one per round participant, at
+  // most two intervals per item) and copies them to an exact-size slot:
+  // all slots live until the concatenation, and per-machine vector growth
+  // was a measured share of this round.
   std::vector<std::vector<Interval>> slots(ceil_div(items, per));
+  std::vector<std::vector<Interval>> scratch(rt.participants());
   rt.round("singleton.intervals", slots.size(), [&](MachineContext& ctx) {
     const std::uint64_t lo_item = ctx.machine_id() * per;
     const std::uint64_t hi_item = std::min(items, lo_item + per);
-    std::vector<Interval> local;
-    for (std::uint64_t item = lo_item; item < hi_item; ++item) {
-      const auto e = static_cast<EdgeId>(item / h);
-      const auto i = static_cast<std::uint32_t>(item % h) + 1;
+    std::vector<Interval>& local = scratch[ctx.slot()];
+    local.clear();
+    // Per edge ("owner") as in step 4: both endpoint labels are read once,
+    // and the levels above both of them — where the model's item reads the
+    // two labels and exits — are one bulk count.
+    auto e = static_cast<EdgeId>(lo_item / h);
+    for (std::uint64_t item = lo_item; item < hi_item; ++e) {
+      const std::uint64_t owner = static_cast<std::uint64_t>(e) * h;
+      const std::uint64_t owner_end = std::min(hi_item, owner + h);
       const VertexId x = g.edges[e].u;
       const VertexId y = g.edges[e].v;
       const Weight w = g.edges[e].w;
-      const bool xa = rd(ctx, t_label, x) >= i;
-      const bool ya = rd(ctx, t_label, y) >= i;
-      if (!xa && !ya) continue;
-      const std::uint64_t lx =
-          xa ? rd(ctx, t_leader, static_cast<std::uint64_t>(x) * h + (i - 1))
-             : kNoNext;
-      const std::uint64_t ly =
-          ya ? rd(ctx, t_leader, static_cast<std::uint64_t>(y) * h + (i - 1))
-             : kNoNext;
-      if (lx != kNoNext && leader_of(lx) == leader_of(ly)) {
-        // Same component & leader (Case 3b): crosses between joining times.
-        const VertexId leader = leader_of(lx);
-        const TimeStep jx = join_of(lx);
-        const TimeStep jy = join_of(ly);
-        if (jx == jy) continue;  // joined simultaneously, never crosses
-        const auto ldr = static_cast<TimeStep>(rd(ctx, t_ldr, leader));
-        const TimeStep a = std::min(jx, jy);
-        const TimeStep b = std::min<TimeStep>(std::max(jx, jy) - 1, ldr);
-        if (a <= b) {
-          local.push_back({leader, a, b, w});
-          ctx.count_write(2);
-        }
-      } else {
-        // Cases 2/3a: each alive side contributes until its leader falls.
-        for (const std::uint64_t lv : {lx, ly}) {
-          if (lv == kNoNext) continue;  // dead side, or no leader
-          const VertexId leader = leader_of(lv);
-          const TimeStep j = join_of(lv);
-          const auto ldr = static_cast<TimeStep>(rd(ctx, t_ldr, leader));
-          if (j <= ldr) {
-            local.push_back({leader, j, ldr, w});
+      const std::uint64_t label_x = t_label->get(ctx, x);
+      const std::uint64_t label_y = t_label->get(ctx, y);
+      ctx.count_read(2 * (owner_end - item - 1));
+      const std::uint64_t leaders_x = static_cast<std::uint64_t>(x) * h;
+      const std::uint64_t leaders_y = static_cast<std::uint64_t>(y) * h;
+      for (const std::uint64_t live_end =
+               std::min(owner_end, owner + std::max(label_x, label_y));
+           item < live_end; ++item) {
+        const std::uint64_t level = item - owner;  // i - 1
+        const std::uint64_t lx =
+            label_x > level ? t_leader->get(ctx, leaders_x + level) : kNoNext;
+        const std::uint64_t ly =
+            label_y > level ? t_leader->get(ctx, leaders_y + level) : kNoNext;
+        if (lx != kNoNext && leader_of(lx) == leader_of(ly)) {
+          // Same component & leader (Case 3b): crosses between joining times.
+          const VertexId leader = leader_of(lx);
+          const TimeStep jx = join_of(lx);
+          const TimeStep jy = join_of(ly);
+          if (jx == jy) continue;  // joined simultaneously, never crosses
+          const auto ldr = static_cast<TimeStep>(t_ldr->get(ctx, leader));
+          const TimeStep a = std::min(jx, jy);
+          const TimeStep b = std::min<TimeStep>(std::max(jx, jy) - 1, ldr);
+          if (a <= b) {
+            local.push_back({leader, a, b, w});
             ctx.count_write(2);
+          }
+        } else {
+          // Cases 2/3a: each alive side contributes until its leader falls.
+          for (const std::uint64_t lv : {lx, ly}) {
+            if (lv == kNoNext) continue;  // dead side, or no leader
+            const VertexId leader = leader_of(lv);
+            const TimeStep j = join_of(lv);
+            const auto ldr = static_cast<TimeStep>(t_ldr->get(ctx, leader));
+            if (j <= ldr) {
+              local.push_back({leader, j, ldr, w});
+              ctx.count_write(2);
+            }
           }
         }
       }
+      item = owner_end;
     }
-    // Exact-size slots: all of them live until the concatenation below, and
-    // their push_back slack showed up in the solve's peak RSS.
-    local.shrink_to_fit();
-    slots[ctx.machine_id()] = std::move(local);
+    slots[ctx.machine_id()].assign(local.begin(), local.end());
   });
   std::size_t num_intervals = 0;
   for (const std::vector<Interval>& slot : slots) num_intervals += slot.size();

@@ -63,15 +63,15 @@ AmpcRootedTree ampc_root_tree(Runtime& rt, VertexId n,
   auto t_next = rt.lease_dense<std::uint64_t>("euler.next", num_arcs, kNoNext);
   const std::uint64_t root_first_arc = csr_arc[first_slot[root]];
   rt.round_over_items("euler.successors", num_arcs,
-                      [&](MachineContext&, std::uint64_t a) {
+                      [&](MachineContext& ctx, std::uint64_t a) {
     const VertexId v = head_of(a);
     const std::uint64_t rev = a ^ 1ull;  // (v -> u)
-    const std::uint64_t rev_slot = t_arc_pos->get(rev);
-    const std::uint64_t lo = t_first->get(v);
-    const std::uint64_t hi = t_first->get(v + 1);
+    const std::uint64_t rev_slot = t_arc_pos->get(ctx, rev);
+    const std::uint64_t lo = t_first->get(ctx, v);
+    const std::uint64_t hi = t_first->get(ctx, v + 1);
     std::uint64_t succ_slot = rev_slot + 1;
     if (succ_slot == hi) succ_slot = lo;  // wrap the circular order
-    const std::uint64_t succ = t_csr->get(succ_slot);
+    const std::uint64_t succ = t_csr->get(ctx, succ_slot);
     if (succ != root_first_arc) t_next->put(a, succ);
   });
   std::vector<std::uint64_t> next(num_arcs);
@@ -92,10 +92,10 @@ AmpcRootedTree ampc_root_tree(Runtime& rt, VertexId n,
   auto t_parent = rt.lease_dense<std::uint64_t>("euler.parent", n, kNoNext);
   auto t_ptime = rt.lease_dense<std::uint64_t>("euler.ptime", n, 0);
   rt.round_over_items("euler.orient", edges.size(),
-                      [&](MachineContext&, std::uint64_t e) {
-    const std::uint64_t down = t_pos->get(2 * e) < t_pos->get(2 * e + 1)
-                                   ? 2 * e
-                                   : 2 * e + 1;
+                      [&](MachineContext& ctx, std::uint64_t e) {
+    const std::uint64_t down =
+        t_pos->get(ctx, 2 * e) < t_pos->get(ctx, 2 * e + 1) ? 2 * e
+                                                             : 2 * e + 1;
     const VertexId child = head_of(down);
     const VertexId par = tail_of(down);
     t_parent->put(child, par);
@@ -173,22 +173,24 @@ std::vector<VertexId> ampc_components(Runtime& rt, const WGraph& g) {
     auto t_next = rt.lease_dense<std::uint64_t>("cc.next", n);
     bool changed = false;
 
-    rt.round_over_items("components.hook", n, [&](MachineContext& ctx, std::uint64_t v) {
+    rt.round_over_items("components.hook", n,
+                        [&](MachineContext& ctx, std::uint64_t v) {
       // Smallest label among self and neighbors. The CSR adjacency lives in
       // the DHT; charge one read per scanned arc.
-      std::uint64_t best = t_label->get(v);
+      std::uint64_t best = t_label->get(ctx, v);
       ctx.count_read(adj.degree(static_cast<VertexId>(v)));
       for (const auto& arc : adj.neighbors(static_cast<VertexId>(v))) {
-        best = std::min(best, t_label->get(arc.to));
+        best = std::min(best, t_label->get(ctx, arc.to));
       }
       t_next->put(v, best);
     });
-    rt.round_over_items("components.jump", n, [&](MachineContext&, std::uint64_t v) {
+    rt.round_over_items("components.jump", n,
+                        [&](MachineContext& ctx, std::uint64_t v) {
       // Adaptive pointer chase: follow label links until a fixpoint or the
       // per-machine budget is exhausted.
-      std::uint64_t cur = t_next->get(v);
+      std::uint64_t cur = t_next->get(ctx, v);
       for (std::uint64_t hops = 0; hops < budget; ++hops) {
-        const std::uint64_t nxt = t_next->get(cur);
+        const std::uint64_t nxt = t_next->get(ctx, cur);
         if (nxt == cur) break;
         cur = nxt;
       }

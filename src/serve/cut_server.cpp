@@ -42,9 +42,9 @@ std::vector<Weight> CutServer::query_batch_on(
   REPRO_CHECK(snap != nullptr);
   std::vector<Weight> out(pairs.size());
   // Block-partitioned fan-out: disjoint result slots, deterministic content.
-  // A batch of one block runs inline on the caller (parallel_for's count-1
-  // path). The grain comes from a batch-size sweep: BENCHMARKS.md "Serving
-  // batch grain", DESIGN.md "Cut-query serving tier" decision 4.
+  // A batch of at most 16 blocks runs inline on the caller (parallel_for's
+  // one-chunk path). The grain comes from a batch-size sweep: BENCHMARKS.md
+  // "Serving batch grain", DESIGN.md "Cut-query serving tier" decision 4.
   const std::size_t grain = 1024;
   const std::size_t blocks = (pairs.size() + grain - 1) / grain;
   pool_->parallel_for(blocks, [&](std::size_t b) {

@@ -10,6 +10,10 @@ namespace {
 // Set once by each worker thread at start; read by worker_index().
 thread_local const ThreadPool* tl_pool = nullptr;
 thread_local std::size_t tl_worker = 0;
+
+// Iterations a batch participant claims at a time. A batch of at most one
+// chunk runs inline: whoever claimed it would run all of it anyway.
+constexpr std::size_t kChunk = 16;
 }  // namespace
 
 struct ThreadPool::Batch {
@@ -25,7 +29,6 @@ struct ThreadPool::Batch {
   // Runs chunks until the index space is exhausted. Returns the number of
   // iterations executed by this participant.
   std::size_t drain(const std::function<void(std::size_t)>& fn) {
-    constexpr std::size_t kChunk = 16;
     std::size_t executed = 0;
     for (;;) {
       const std::size_t begin = next.fetch_add(kChunk);
@@ -131,11 +134,12 @@ void ThreadPool::execute(Work work) {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  if (threads_.size() <= 1 || count == 1) {
-    // Inline: with at most one worker the caller would drain the whole batch
-    // anyway, so skip the posting/notify round trip. Same contract as the
-    // batch path: every iteration runs, the lowest throwing index's
-    // exception (here the first one) propagates.
+  if (threads_.size() <= 1 || count <= kChunk) {
+    // Inline: with at most one worker, or at most one chunk, a single
+    // participant would run the whole batch anyway, so skip the posting and
+    // the notify (which also wakes every TaskGroup::wait sleeper). Same
+    // contract as the batch path: every iteration runs, the lowest throwing
+    // index's exception (here the first one) propagates.
     std::exception_ptr error;
     for (std::size_t i = 0; i < count; ++i) {
       try {

@@ -59,7 +59,10 @@ class ThreadPool {
   // Safe to call with count == 0, and safe to call from inside a pool task
   // or another parallel_for body: the caller always participates and drains
   // the whole batch itself if no worker is free.
-  // With a single-threaded pool the batch runs inline (no posting overhead).
+  // With a single-threaded pool, or a batch of at most one 16-iteration
+  // chunk (which one participant would claim whole), the batch runs inline
+  // on the caller: no posting, no wake-up. A batch of a few heavy
+  // iterations therefore runs on one thread, however wide the pool.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
 
   // A set of tasks submitted to the pool and awaited together. Nested use is

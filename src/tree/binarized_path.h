@@ -18,9 +18,14 @@
 //    that the leaf is the leftmost descendant of u''s right child, else the
 //    leaf itself" — is "climb while left child; stop at the first right
 //    child": since leaf->u'.right must be an all-left path, the candidate is
-//    unique and is the parent of the first right-child ancestor.
+//    unique and is the parent of the first right-child ancestor;
+//  * so every internal node labels exactly one leaf, the leftmost of its
+//    right child, and those leaves run in the in-order of the internal
+//    nodes. Range minima and nearest-smaller queries over the labels are
+//    therefore bit arithmetic on one root-to-leaf path, O(1) each.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -76,18 +81,32 @@ inline std::uint64_t leaf_position(std::uint64_t leaves, NodeId x) {
 
 // Leftmost / rightmost leaf of the subtree rooted at x. Closed forms — the
 // descend-left walk multiplies by 2 per step, so the step count is the
-// smallest k with x·2^k >= L (equivalently 2^k >= ceil(L/x)); descend-right
-// maps x -> 2x+1, i.e. after k steps (x+1)·2^k - 1, stopping at the smallest
-// k with that >= L. Every internal node (ids 1..L-1) has both children in
-// the almost-complete heap, so the walks never fall off the tree and the
-// closed forms are exact. These sit on the hot path of the Lemma 10 climbs.
+// smallest k with x·2^k >= L; descend-right maps x -> 2x+1, i.e. after k
+// steps (x+1)·2^k - 1, stopping at the smallest k with (x+1)·2^k >= L+1.
+// Every internal node (ids 1..L-1) has both children in the almost-complete
+// heap, so the walks never fall off the tree and the closed forms are exact.
+// These sit on the hot path of the Lemma 10 climbs, so the step count comes
+// from bit widths, not from a division (min_doublings).
+namespace detail {
+
+// Smallest k with y·2^k >= target, for 1 <= y < target: shifting y to the
+// bit width of target leaves it either >= target (k is the width gap) or
+// below it (one more doubling); one doubling fewer is a narrower number.
+inline std::uint32_t min_doublings(std::uint64_t y, std::uint64_t target) {
+  REPRO_DCHECK(y >= 1 && y < target);
+  const std::uint32_t k = floor_log2(target) - floor_log2(y);
+  return (y << k) >= target ? k : k + 1;
+}
+
+}  // namespace detail
+
 inline NodeId leftmost_leaf(std::uint64_t leaves, NodeId x) {
   if (is_leaf(leaves, x)) return x;
-  return x << ceil_log2(ceil_div(leaves, x));
+  return x << detail::min_doublings(x, leaves);
 }
 inline NodeId rightmost_leaf(std::uint64_t leaves, NodeId x) {
   if (is_leaf(leaves, x)) return x;
-  return ((x + 1) << ceil_log2(ceil_div(leaves + 1, x + 1))) - 1;
+  return ((x + 1) << detail::min_doublings(x + 1, leaves + 1)) - 1;
 }
 
 // The label of a leaf, as a depth within this binarized path (the caller
@@ -110,158 +129,116 @@ inline std::uint32_t label_at(std::uint64_t leaves, std::uint64_t j) {
   return leaf_label(leaves, leaf_index(leaves, j));
 }
 
-// Label of the leftmost leaf of the subtree rooted at x. The all-left climb
-// from that leaf passes through x, so the answer only depends on x's own
-// continued climb (or the leaf's own depth when the climb exits at the root).
-inline std::uint32_t leftmost_leaf_label(std::uint64_t leaves, NodeId x) {
-  const NodeId leaf = leftmost_leaf(leaves, x);
-  return leaf_label(leaves, leaf);
-}
-
-// Minimum label over the leaves of the subtree rooted at x. Every non-
-// leftmost leaf stops its climb at an internal node of the subtree, and every
-// internal node u of the subtree labels exactly one leaf inside with
-// depth(u); depths {depth(x), depth(x)+1, ...} are all realized, so the
-// internal minimum is depth(x). The leftmost leaf's label may be smaller
-// (it escapes the subtree).
-inline std::uint32_t min_label_in_subtree(std::uint64_t leaves, NodeId x) {
-  const std::uint32_t escape = leftmost_leaf_label(leaves, x);
-  if (is_leaf(leaves, x)) return escape;
-  return escape < depth(x) ? escape : depth(x);
-}
-
 inline constexpr std::uint64_t kNoPosition = static_cast<std::uint64_t>(-1);
 
-namespace detail {
-
-// Rightmost leaf with label < bound in the subtree rooted at x; kNoPosition
-// when none. O(log^2 L).
-inline NodeId rightmost_leaf_with_label_below(std::uint64_t leaves, NodeId x,
-                                              std::uint32_t bound) {
-  if (min_label_in_subtree(leaves, x) >= bound) return kNoPosition;
-  while (!is_leaf(leaves, x)) {
-    const NodeId r = right_child(x);
-    if (min_label_in_subtree(leaves, r) < bound) {
-      x = r;
-    } else {
-      x = left_child(x);
-      REPRO_DCHECK(min_label_in_subtree(leaves, x) < bound);
-    }
-  }
-  return x;
+// Pre-order position of the leaf that internal node u labels (with depth(u)):
+// the leftmost leaf of its right child. Every leaf but position 0 is labeled
+// by exactly one internal node, and these positions increase along the
+// in-order of the internal nodes (u's left subtree, u, its right subtree).
+inline std::uint64_t labeled_position(std::uint64_t leaves, NodeId u) {
+  return leaf_position(leaves, leftmost_leaf(leaves, right_child(u)));
 }
-
-// Leftmost leaf with label < bound in the subtree rooted at x.
-inline NodeId leftmost_leaf_with_label_below(std::uint64_t leaves, NodeId x,
-                                             std::uint32_t bound) {
-  if (min_label_in_subtree(leaves, x) >= bound) return kNoPosition;
-  while (!is_leaf(leaves, x)) {
-    const NodeId l = left_child(x);
-    if (min_label_in_subtree(leaves, l) < bound) {
-      x = l;
-    } else {
-      x = right_child(x);
-      REPRO_DCHECK(min_label_in_subtree(leaves, x) < bound);
-    }
-  }
-  return x;
-}
-
-}  // namespace detail
 
 // Nearest pre-order position strictly left of `pos` whose leaf label is
-// < bound; kNoPosition when no such leaf exists. O(log^2 L) local arithmetic.
+// < bound; kNoPosition when no such leaf exists. O(1).
+//
+// The leaves labeled < bound are those labeled by the internal nodes of
+// depth < bound (a top part T of the heap), plus position 0 when its own
+// all-left label is < bound. By the in-order property the answer is an
+// in-order predecessor search over T: walking down toward leaf x, a node
+// whose labeled position is < pos is a candidate and the walk turns right,
+// otherwise it turns left. That walk follows x's ancestors until it meets
+// x's own labeler u* (x is the leftmost leaf of u*'s right child), turns
+// left there, and then runs down the right spine of u*'s left child. So the
+// answer is the bottom of that spine inside T, or else the labeled position
+// of the deepest ancestor where the walk turned right.
 inline std::uint64_t nearest_smaller_left(std::uint64_t leaves,
                                           std::uint64_t pos,
                                           std::uint32_t bound) {
-  NodeId cur = leaf_index(leaves, pos);
-  while (cur != 1) {
-    if (is_right_child(cur)) {
-      const NodeId sib = cur - 1;  // left sibling: leaves strictly left of pos
-      const NodeId hit =
-          detail::rightmost_leaf_with_label_below(leaves, sib, bound);
-      if (hit != kNoPosition) return leaf_position(leaves, hit);
+  if (bound <= 1) return kNoPosition;  // labels are >= 1
+  const std::uint32_t max_depth = bound - 1;  // deepest node of T
+  const NodeId x = leaf_index(leaves, pos);
+  const NodeId owner = x >> (std::countr_zero(x) + 1);  // u*; 0 if all-left
+  NodeId walk_end;  // the walk's last node on x's root path
+  if (owner != 0 && depth(owner) <= max_depth) {
+    const NodeId w = left_child(owner);
+    if (w < leaves && depth(w) <= max_depth) {
+      // Bottom of w's right spine, (w+1)·2^k - 1, inside T: k is capped by
+      // depth and by staying internal ((w+1)·2^k <= L).
+      std::uint32_t k = max_depth - depth(w);
+      const std::uint32_t fit = floor_log2(leaves) - floor_log2(w + 1);
+      k = std::min(k, ((w + 1) << fit) <= leaves ? fit : fit - 1);
+      return labeled_position(leaves, ((w + 1) << k) - 1);
     }
-    cur = parent(cur);
+    walk_end = owner;
+  } else {
+    const std::uint32_t d = depth(x);
+    walk_end = x >> (d - 1 - std::min(max_depth, d - 1));
   }
+  // Deepest proper ancestor whose right subtree holds walk_end.
+  const NodeId turned_right = walk_end >> (std::countr_zero(walk_end) + 1);
+  if (turned_right != 0) return labeled_position(leaves, turned_right);
+  if (pos > 0 && label_at(leaves, 0) < bound) return 0;
   return kNoPosition;
 }
 
 // Nearest pre-order position strictly right of `pos` with leaf label < bound.
+// The in-order successor search over T (see nearest_smaller_left) follows
+// x's ancestors down to depth bound - 1 — at x's labeler the labeled
+// position is pos itself, not right of it, so the walk turns right, toward
+// x — and the answer is the labeled position of the deepest ancestor where
+// it turned left. Position 0 is never right of anything. O(1).
 inline std::uint64_t nearest_smaller_right(std::uint64_t leaves,
                                            std::uint64_t pos,
                                            std::uint32_t bound) {
-  NodeId cur = leaf_index(leaves, pos);
-  while (cur != 1) {
-    if (is_left_child(cur)) {
-      const NodeId sib = cur + 1;  // right sibling: leaves strictly right
-      const NodeId hit =
-          detail::leftmost_leaf_with_label_below(leaves, sib, bound);
-      if (hit != kNoPosition) return leaf_position(leaves, hit);
-    }
-    cur = parent(cur);
-  }
-  return kNoPosition;
+  if (bound <= 1) return kNoPosition;
+  const NodeId x = leaf_index(leaves, pos);
+  const std::uint32_t d = depth(x);
+  const NodeId walk_end = x >> (d - 1 - std::min(bound - 1, d - 1));
+  const NodeId turned_left = walk_end >> (std::countr_one(walk_end) + 1);
+  return turned_left != 0 ? labeled_position(leaves, turned_left)
+                          : kNoPosition;
 }
 
-// Position and label of a minimum-label leaf within pre-order positions
-// [lo, hi] (inclusive). Unique when the minimum equals the level being
-// queried (Definition 1); ties otherwise resolve to the leftmost.
+// Position and label of the minimum-label leaf within pre-order positions
+// [lo, hi] (inclusive). The minimum is unique: for lo < hi let u be the
+// lowest common ancestor of the two end leaves. Every internal node labels
+// exactly one leaf, the leftmost of its right child, with its own depth, so
+// u labels a leaf of the range with depth(u), and the other leaves of the
+// range are labeled by nodes strictly inside u's subtree — deeper — except
+// the leftmost leaf of u's subtree, whose label escapes above u (strictly
+// smaller than depth(u)) or ends at its own depth (strictly larger). That
+// leaf is in the range only when it is leaf lo. O(1).
 struct RangeMinLabel {
   std::uint64_t pos = kNoPosition;
   std::uint32_t label = 0;
 };
 
-RangeMinLabel min_label_in_range(std::uint64_t leaves, std::uint64_t lo,
-                                 std::uint64_t hi);
-
-namespace detail {
-
-// Best (min-label, then leftmost) leaf in the subtree rooted at x, O(log L):
-// candidates are the leftmost leaf (escaping label) and the leaf labeled
-// depth(x) (the leftmost leaf of x's right child) when x is internal.
-inline RangeMinLabel best_leaf_of_subtree(std::uint64_t leaves, NodeId x) {
-  const NodeId lml = leftmost_leaf(leaves, x);
-  RangeMinLabel best{leaf_position(leaves, lml), leaf_label(leaves, lml)};
-  if (!is_leaf(leaves, x)) {
-    const NodeId owned = leftmost_leaf(leaves, right_child(x));
-    const std::uint32_t d = depth(x);
-    if (d < best.label) {
-      best = {leaf_position(leaves, owned), d};
-    }
+// Lowest common ancestor of two heap nodes: lift the deeper one to the
+// other's depth, then drop the bits where they differ.
+inline NodeId lowest_common_ancestor(NodeId a, NodeId b) {
+  const std::uint32_t da = floor_log2(a);
+  const std::uint32_t db = floor_log2(b);
+  if (da > db) {
+    a >>= da - db;
+  } else {
+    b >>= db - da;
   }
-  return best;
+  return a >> std::bit_width(a ^ b);
 }
-
-inline void min_label_in_range_rec(std::uint64_t leaves, NodeId x,
-                                   std::uint64_t x_lo, std::uint64_t x_hi,
-                                   std::uint64_t lo, std::uint64_t hi,
-                                   RangeMinLabel& best) {
-  if (x_hi < lo || x_lo > hi) return;
-  if (lo <= x_lo && x_hi <= hi) {
-    const RangeMinLabel cand = best_leaf_of_subtree(leaves, x);
-    if (best.pos == kNoPosition || cand.label < best.label ||
-        (cand.label == best.label && cand.pos < best.pos)) {
-      best = cand;
-    }
-    return;
-  }
-  REPRO_DCHECK(!is_leaf(leaves, x));
-  const NodeId l = left_child(x);
-  const NodeId r = right_child(x);
-  const std::uint64_t l_hi = leaf_position(leaves, rightmost_leaf(leaves, l));
-  min_label_in_range_rec(leaves, l, x_lo, l_hi, lo, hi, best);
-  min_label_in_range_rec(leaves, r, l_hi + 1, x_hi, lo, hi, best);
-}
-
-}  // namespace detail
 
 inline RangeMinLabel min_label_in_range(std::uint64_t leaves, std::uint64_t lo,
                                         std::uint64_t hi) {
   REPRO_DCHECK(lo <= hi && hi < leaves);
-  RangeMinLabel best;
-  detail::min_label_in_range_rec(leaves, 1, 0, leaves - 1, lo, hi, best);
-  REPRO_DCHECK(best.pos != kNoPosition);
+  const NodeId first = leaf_index(leaves, lo);
+  if (lo == hi) return {lo, leaf_label(leaves, first)};
+  const NodeId u = lowest_common_ancestor(first, leaf_index(leaves, hi));
+  RangeMinLabel best{
+      leaf_position(leaves, leftmost_leaf(leaves, right_child(u))), depth(u)};
+  if (leftmost_leaf(leaves, u) == first) {
+    const std::uint32_t escape = leaf_label(leaves, first);
+    if (escape < best.label) best = {lo, escape};
+  }
   return best;
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ampc/runtime.h"
+#include "support/errors.h"
 
 namespace ampccut::ampc {
 namespace {
@@ -79,6 +82,36 @@ TEST(AmpcRuntime, TracksTrafficPerMachine) {
   });
   EXPECT_EQ(rt.metrics().dht_reads, 11u);
   EXPECT_EQ(rt.metrics().max_machine_traffic, 10u);
+}
+
+TEST(AmpcRuntime, ContextReadsCountLikeActiveMachineReads) {
+  // get(ctx, i) charges the context it is given exactly what get(i) charges
+  // the thread's active machine, multi-word values included.
+  Runtime rt(small_config());
+  DenseTable<std::uint64_t> t(rt, "d", 64, 1);
+  DenseTable<std::pair<std::uint64_t, std::uint64_t>> wide(rt, "w", 4);
+  rt.round("r", 2, [&](MachineContext& ctx) {
+    if (ctx.machine_id() == 0) {
+      for (int i = 0; i < 10; ++i) (void)t.get(ctx, i);
+    } else {
+      (void)t.get(0);
+      (void)wide.get(ctx, 3);
+    }
+  });
+  EXPECT_EQ(rt.metrics().dht_reads, 13u);
+  EXPECT_EQ(rt.metrics().max_machine_traffic, 10u);
+}
+
+TEST(AmpcRuntime, ContextReadsHitTheReadFaultPoint) {
+  Config c = small_config();
+  c.fault.read_fail_rate = 1.0;
+  c.retry.max_attempts = 2;
+  Runtime rt(c);
+  DenseTable<std::uint64_t> t(rt, "d", 4, 1);
+  EXPECT_THROW(rt.round("r", 1,
+                        [&](MachineContext& ctx) { (void)t.get(ctx, 0); }),
+               RetriesExhaustedError);
+  EXPECT_EQ(rt.metrics().faults_injected.load(), 2u);
 }
 
 TEST(AmpcRuntime, BudgetViolationsRecorded) {

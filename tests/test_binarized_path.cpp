@@ -87,6 +87,27 @@ TEST(BinarizedPath, HeightIsLogarithmic) {
   }
 }
 
+TEST(BinarizedPath, SubtreeLeafClosedFormsMatchDescendWalk) {
+  // Every node of every path length up to 4096: the bit-width closed forms
+  // against the literal descend-left / descend-right walks.
+  for (std::uint64_t L = 1; L <= 4096; ++L) {
+    for (bp::NodeId x = 1; x <= bp::num_nodes(L); ++x) {
+      bp::NodeId left = x;
+      while (!bp::is_leaf(L, left)) left = bp::left_child(left);
+      bp::NodeId right = x;
+      while (!bp::is_leaf(L, right)) right = bp::right_child(right);
+      if (bp::leftmost_leaf(L, x) != left ||
+          bp::rightmost_leaf(L, x) != right) {
+        ADD_FAILURE() << "L=" << L << " x=" << x << ": leftmost "
+                      << bp::leftmost_leaf(L, x) << " vs " << left
+                      << ", rightmost " << bp::rightmost_leaf(L, x) << " vs "
+                      << right;
+        return;
+      }
+    }
+  }
+}
+
 TEST(BinarizedPath, LabelMatchesDefinitionalClimb) {
   for (std::uint64_t L = 1; L <= 300; ++L) {
     const RefTree ref(L);
@@ -122,31 +143,9 @@ TEST(BinarizedPath, LabelsFormValidDecompositionOfAPath) {
   }
 }
 
-TEST(BinarizedPath, MinLabelInSubtreeMatchesBruteForce) {
-  for (std::uint64_t L : {1u, 2u, 3u, 5u, 8u, 13u, 37u, 64u, 100u}) {
-    const RefTree ref(L);
-    for (bp::NodeId x = 1; x < bp::num_nodes(L) + 1 && x <= bp::num_nodes(L);
-         ++x) {
-      // Brute force: min label over leaves in x's subtree.
-      std::uint32_t best = ~0u;
-      std::vector<bp::NodeId> stack{x};
-      while (!stack.empty()) {
-        const bp::NodeId y = stack.back();
-        stack.pop_back();
-        if (ref.leaf(y)) {
-          best = std::min(best, bp::leaf_label(L, y));
-        } else {
-          stack.push_back(2 * y);
-          stack.push_back(2 * y + 1);
-        }
-      }
-      EXPECT_EQ(bp::min_label_in_subtree(L, x), best) << "L=" << L << " x=" << x;
-    }
-  }
-}
-
 TEST(BinarizedPath, NearestSmallerMatchesBruteForce) {
-  for (std::uint64_t L : {1u, 2u, 3u, 7u, 16u, 33u, 75u, 128u}) {
+  for (std::uint64_t L :
+       {1u, 2u, 3u, 7u, 16u, 33u, 63u, 64u, 65u, 75u, 128u, 200u}) {
     std::vector<std::uint32_t> lab(L);
     std::uint32_t h = 0;
     for (std::uint64_t j = 0; j < L; ++j) {
@@ -171,18 +170,28 @@ TEST(BinarizedPath, NearestSmallerMatchesBruteForce) {
 }
 
 TEST(BinarizedPath, MinLabelInRangeMatchesBruteForce) {
-  for (std::uint64_t L : {1u, 2u, 5u, 9u, 21u, 50u, 90u}) {
+  // The minimum over every range is attained exactly once, at got.pos.
+  for (std::uint64_t L :
+       {1u, 2u, 5u, 9u, 21u, 50u, 90u, 127u, 128u, 129u, 200u}) {
     std::vector<std::uint32_t> lab(L);
     for (std::uint64_t j = 0; j < L; ++j) lab[j] = bp::label_at(L, j);
     for (std::uint64_t lo = 0; lo < L; ++lo) {
       for (std::uint64_t hi = lo; hi < L; ++hi) {
         std::uint32_t want = ~0u;
-        for (std::uint64_t t = lo; t <= hi; ++t) want = std::min(want, lab[t]);
+        std::uint64_t want_pos = bp::kNoPosition;
+        std::uint64_t count = 0;
+        for (std::uint64_t t = lo; t <= hi; ++t) {
+          if (lab[t] < want) {
+            want = lab[t];
+            want_pos = t;
+            count = 0;
+          }
+          count += lab[t] == want ? 1 : 0;
+        }
         const auto got = bp::min_label_in_range(L, lo, hi);
-        EXPECT_EQ(got.label, want);
-        EXPECT_GE(got.pos, lo);
-        EXPECT_LE(got.pos, hi);
-        EXPECT_EQ(lab[got.pos], got.label);
+        ASSERT_EQ(got.label, want) << "L=" << L << " [" << lo << ", " << hi;
+        ASSERT_EQ(got.pos, want_pos) << "L=" << L << " [" << lo << ", " << hi;
+        ASSERT_EQ(count, 1u) << "L=" << L << " [" << lo << ", " << hi;
       }
     }
   }

@@ -13,9 +13,13 @@
 // instead of silently de-reproducing experiments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <string>
+#include <vector>
 
+#include "ampc_algo/list_ranking.h"
 #include "ampc_algo/mincut_ampc.h"
 #include "ampc_algo/singleton_ampc.h"
 #include "flow/gomory_hu.h"
@@ -24,6 +28,7 @@
 #include "mincut/contraction.h"
 #include "serve/cut_server.h"
 #include "support/psort.h"
+#include "support/rng.h"
 #include "support/threadpool.h"
 
 namespace ampccut {
@@ -72,9 +77,12 @@ struct SingletonPin {
   std::uint64_t dht_writes;
   std::uint64_t peak_table_words;
   std::map<std::string, std::uint64_t, std::less<>> rounds_by_label;
-  // Exclusive ceiling: the tracker once ran a path-max query per (edge,
-  // level) endpoint, and this was its read count. Reads may only drop.
-  std::uint64_t dht_reads_below;
+  // Read-side counts. The tracker's round bodies count the reads of dead
+  // (vertex, level) and (edge, level) items in bulk, so these pin that the
+  // bulk counts equal the per-item ones, machine by machine.
+  std::uint64_t dht_reads;
+  std::uint64_t max_machine_traffic;
+  std::uint64_t budget_violations;
 };
 
 // Four dense clusters joined in a ring by light bundles, the shape of the
@@ -99,9 +107,9 @@ WGraph pinned_ring() {
   return g;
 }
 
-// The tracker's answer and every model count except reads, pinned on three
-// graphs at pool widths 1 and 4: host-side speedups of the tracker must
-// leave rounds, writes and table sizes exactly where they are.
+// The tracker's answer and every model count, pinned on three graphs at
+// pool widths 1 and 4: host-side speedups of the tracker must leave rounds,
+// reads, writes, per-machine traffic and table sizes exactly where they are.
 TEST(Determinism, AmpcSingletonCountsPinned) {
   WGraph random = gen_random_connected(60, 240, 7);
   randomize_weights(random, 9, 3);
@@ -130,9 +138,11 @@ TEST(Determinism, AmpcSingletonCountsPinned) {
   };
   const std::vector<std::pair<WGraph, SingletonPin>> cases = {
       {pinned_ring(),
-       {10, 5, 56, 19, 10, 2847, 2118, labels(2), 33227}},
-      {random, {11, 23, 0, 19, 10, 3935, 2101, labels(2), 62016}},
-      {gen_grid(8, 9), {2, 0, 0, 25, 12, 3226, 2614, labels(4), 39591}},
+       {10, 5, 56, 19, 10, 2847, 2118, labels(2), 23110, 2224, 50}},
+      {random,
+       {11, 23, 0, 19, 10, 3935, 2101, labels(2), 29534, 1836, 73}},
+      {gen_grid(8, 9),
+       {2, 0, 0, 25, 12, 3226, 2614, labels(4), 29452, 1856, 70}},
   };
   for (std::size_t c = 0; c < cases.size(); ++c) {
     const WGraph& g = cases[c].first;
@@ -153,7 +163,111 @@ TEST(Determinism, AmpcSingletonCountsPinned) {
       EXPECT_EQ(m.dht_writes, pin.dht_writes);
       EXPECT_EQ(m.peak_table_words, pin.peak_table_words);
       EXPECT_EQ(m.rounds_by_label, pin.rounds_by_label);
-      EXPECT_LT(m.dht_reads, pin.dht_reads_below);
+      EXPECT_EQ(m.dht_reads, pin.dht_reads);
+      EXPECT_EQ(m.max_machine_traffic, pin.max_machine_traffic);
+      EXPECT_EQ(m.budget_violations.load(), pin.budget_violations);
+    }
+  }
+}
+
+// A random permutation of 0..n-1 cut into chains of 1..max_len elements.
+std::vector<std::uint64_t> random_chains(std::uint64_t n, std::uint64_t max_len,
+                                         std::uint64_t seed) {
+  std::vector<std::uint64_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  Rng rng(seed);
+  std::shuffle(order.begin(), order.end(), rng);
+  std::vector<std::uint64_t> next(n, ampc::kNoNext);
+  for (std::uint64_t k = 0; k < n;) {
+    const std::uint64_t len =
+        std::min<std::uint64_t>(n - k, 1 + rng.next_below(max_len));
+    for (std::uint64_t j = k; j + 1 < k + len; ++j) {
+      next[order[j]] = order[j + 1];
+    }
+    k += len;
+  }
+  return next;
+}
+
+// FNV-1a over every rank of every column.
+std::uint64_t rank_digest(const std::vector<std::vector<std::int64_t>>& cols) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& col : cols) {
+    for (const std::int64_t v : col) {
+      h ^= static_cast<std::uint64_t>(v);
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// List ranking's ranks and model counts, pinned for one and two value
+// columns at pool widths 1 and 4 on three inputs: one long chain (two
+// contraction levels, then the one-machine base), many short chains (the
+// direct walk), and a chain long enough for three contraction levels. The
+// walks read through the counted dense read path, and every word of it must
+// land on the same machine as before.
+TEST(Determinism, ListRankCountsPinned) {
+  struct Pin {
+    std::uint64_t digest;
+    std::uint64_t dht_reads;
+    std::uint64_t dht_writes;
+    std::uint64_t max_machine_traffic;
+    std::map<std::string, std::uint64_t, std::less<>> rounds_by_label;
+  };
+  const auto labels = [](std::uint64_t contractions, bool direct_walk,
+                         std::uint64_t expansions) {
+    std::map<std::string, std::uint64_t, std::less<>> m{
+        {"list_rank.compact[cited]", 0},
+        {"list_rank.expand", expansions},
+        {"list_rank.sample", contractions},
+        {"list_rank.walk", contractions}};
+    m.emplace(direct_walk ? "list_rank.direct_walk" : "list_rank.base", 1);
+    return m;
+  };
+  struct Input {
+    std::uint64_t n, max_len, seed;
+    Pin one_column, two_columns;
+  };
+  const std::vector<Input> inputs = {
+      {1500, 1500, 1,
+       {0xda47d882043e09e4ULL, 49195, 2340, 2037, labels(2, false, 2)},
+       {0x484e42daaf2bb44cULL, 65040, 4260, 2776, labels(2, false, 2)}},
+      {1500, 4, 2,
+       {0x62d8d15f37aff1a4ULL, 19509, 8585, 387, labels(3, true, 2)},
+       {0x27c0b6ce639d0908ULL, 25679, 13324, 580, labels(3, true, 2)}},
+      {20000, 20000, 3,
+       {0xa82e573af3c50a00ULL, 639784, 31504, 2208, labels(3, false, 3)},
+       {0x0e5ff3b97a75719eULL, 845450, 57256, 3008, labels(3, false, 3)}},
+  };
+  for (const Input& in : inputs) {
+    const std::vector<std::uint64_t> next =
+        random_chains(in.n, in.max_len, in.seed);
+    std::vector<std::vector<std::int64_t>> values(
+        2, std::vector<std::int64_t>(in.n));
+    Rng rng(in.seed + 10);
+    for (std::uint64_t i = 0; i < in.n; ++i) {
+      values[0][i] = static_cast<std::int64_t>(rng.next_below(21)) - 10;
+      values[1][i] = static_cast<std::int64_t>(i % 3);
+    }
+    for (const std::size_t k : {1u, 2u}) {
+      const Pin& pin = k == 1 ? in.one_column : in.two_columns;
+      const std::vector<std::vector<std::int64_t>> cols(values.begin(),
+                                                        values.begin() + k);
+      for (const std::size_t width : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "n " << in.n << " columns " << k
+                                          << " width " << width);
+        ThreadPool pool(width);
+        // 64-word machines, so every input contracts at least twice.
+        ampc::Runtime rt(ampc::Config::for_problem(4096, 0.5), &pool);
+        const auto ranks = ampc::list_rank_multi(rt, next, cols);
+        const ampc::Metrics& m = rt.metrics();
+        EXPECT_EQ(rank_digest(ranks), pin.digest);
+        EXPECT_EQ(m.dht_reads, pin.dht_reads);
+        EXPECT_EQ(m.dht_writes, pin.dht_writes);
+        EXPECT_EQ(m.max_machine_traffic, pin.max_machine_traffic);
+        EXPECT_EQ(m.rounds_by_label, pin.rounds_by_label);
+      }
     }
   }
 }

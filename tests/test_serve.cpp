@@ -164,9 +164,10 @@ TEST(Serve, GlobalMinCutMatchesStoerWagner) {
 
 // --- Batch path -------------------------------------------------------------
 
-// Longer than twice query_batch_on's grain (at most 1024), so a batch this
-// long spans several blocks and takes the pool's fan-out path.
-constexpr std::size_t kManyBlockBatch = 2 * 1024 + 1;
+// Longer than 16 of query_batch_on's blocks (grain at most 1024), so a
+// batch this long takes the pool's fan-out path: parallel_for runs a batch
+// of at most one 16-iteration chunk inline on the caller.
+constexpr std::size_t kManyBlockBatch = 16 * 1024 + 1;
 
 // `pairs` repeated until the list holds at least `len` pairs.
 std::vector<QueryPair> repeat_pairs(const std::vector<QueryPair>& pairs,

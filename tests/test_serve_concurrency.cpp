@@ -173,12 +173,13 @@ TEST(ServeConcurrency, QueriesMatchSomePublishedEpochDuringSwaps) {
 TEST(ServeConcurrency, ConcurrentBatchesAreInternallyOneEpoch) {
   const auto pairs = all_pairs();
   const Truth truth = truth_tables(pairs);
-  // The pair list repeated past twice query_batch_on's grain (at most 1024):
-  // that batch spans several blocks and fans out over the pool, while the
-  // 66-pair list is one block served inline.
+  // The pair list repeated past 16 of query_batch_on's blocks (grain at most
+  // 1024): that batch fans out over the pool (parallel_for runs a batch of
+  // at most 16 iterations inline), while the 66-pair list is one block
+  // served inline.
   const std::vector<QueryPair> long_pairs = [&] {
     std::vector<QueryPair> out;
-    while (out.size() <= 2 * 1024) {
+    while (out.size() <= 16 * 1024) {
       out.insert(out.end(), pairs.begin(), pairs.end());
     }
     return out;

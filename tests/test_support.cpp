@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/bits.h"
@@ -136,6 +138,31 @@ TEST(ThreadPool, PropagatesException) {
     pool.parallel_for(50, [&](std::size_t) { n.fetch_add(1); });
     EXPECT_EQ(n.load(), 50);
   }
+}
+
+TEST(ThreadPool, OneChunkBatchRunsInlineOnTheCaller) {
+  // A batch of at most one 16-iteration chunk runs on the calling thread
+  // even on a wide pool, with the batch path's error contract.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(16);
+  pool.parallel_for(16, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+
+  std::vector<int> ran(16, 0);
+  try {
+    pool.parallel_for(16, [&](std::size_t i) {
+      ran[i] = 1;
+      if (i == 11) throw std::runtime_error("iteration 11");
+      if (i == 3) throw std::runtime_error("iteration 3");
+    });
+    ADD_FAILURE() << "parallel_for swallowed the exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "iteration 3");
+  }
+  EXPECT_EQ(ran, std::vector<int>(16, 1));
 }
 
 TEST(ThreadPool, ReusableAcrossManyBatches) {
