@@ -4,13 +4,12 @@
 // suite optional and its JSON schema foreign).
 //
 // Two groups, routed into separate trajectory files by tools/run_benches:
-//  * "ampc"  — simulator hot paths. The table_put_commit / dense_put_commit
-//    pair is THE write-path benchmark: one round staging n puts across the
-//    machines of Config::for_problem(n, 0.5) plus the barrier commit, in
-//    steady state (keys overwrite, no map growth after warmup).
+//  * "ampc"  — simulator hot paths. dense_put_commit is THE write-path
+//    benchmark: one round staging n puts across the machines of
+//    Config::for_problem(n, 0.5) plus the barrier commit, in steady state
+//    (every timed round overwrites the same indices).
 //  * "exact" — the sequential engines a downstream user runs first.
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 
 #include "ampc_algo/list_ranking.h"
@@ -44,35 +43,6 @@ struct Harness {
   }
 };
 
-// One round of n staged puts (distinct keys, machine-partitioned) plus the
-// barrier commit. Steady state: every timed round overwrites the same keys.
-void bench_table_put_commit(Harness& h, std::uint64_t n) {
-  ampc::Runtime rt(ampc::Config::for_problem(n, 0.5));
-  ampc::Table<std::uint64_t, std::uint64_t> t(rt, "bench.table");
-  std::uint64_t salt = 0;
-  const auto body = [&] {
-    ++salt;
-    rt.round_over_items("bench.put", n,
-                        [&](ampc::MachineContext&, std::uint64_t i) {
-                          t.put(i, i + salt);
-                        });
-  };
-  BenchResult r;
-  r.name = "table_put_commit";
-  const Timed timed = run_timed(n, h.topt, body);
-  r.ns_per_op = timed.ns_per_op;
-  r.iterations = timed.iterations;
-  // Model costs of one round, from a fresh instrumented runtime.
-  ampc::Runtime mrt(ampc::Config::for_problem(n, 0.5));
-  ampc::Table<std::uint64_t, std::uint64_t> mt(mrt, "bench.table");
-  mrt.round_over_items("bench.put", n,
-                       [&](ampc::MachineContext&, std::uint64_t i) {
-                         mt.put(i, i);
-                       });
-  fill_model_metrics(r, mrt.metrics());
-  h.record(std::move(r), n);
-}
-
 void bench_dense_put_commit(Harness& h, std::uint64_t n) {
   ampc::Runtime rt(ampc::Config::for_problem(n, 0.5));
   ampc::DenseTable<std::uint64_t> t(rt, "bench.dense", n);
@@ -94,36 +64,6 @@ void bench_dense_put_commit(Harness& h, std::uint64_t n) {
   mrt.round_over_items("bench.put", n,
                        [&](ampc::MachineContext&, std::uint64_t i) {
                          mt.put(i, i);
-                       });
-  fill_model_metrics(r, mrt.metrics());
-  h.record(std::move(r), n);
-}
-
-// Adaptive reads of committed keys (the frozen-read fast path). The lookup
-// cannot be elided — get() counts words into the machine context — and the
-// miss check consumes the value without a shared accumulator (machines run
-// concurrently; a shared sink would race).
-void bench_table_get(Harness& h, std::uint64_t n) {
-  ampc::Runtime rt(ampc::Config::for_problem(n, 0.5));
-  ampc::Table<std::uint64_t, std::uint64_t> t(rt, "bench.table");
-  for (std::uint64_t i = 0; i < n; ++i) t.seed(i, i * 3);
-  const auto body = [&] {
-    rt.round_over_items("bench.get", n,
-                        [&](ampc::MachineContext&, std::uint64_t i) {
-                          if (!t.get((i * 0x9e3779b9ull) % n)) std::abort();
-                        });
-  };
-  BenchResult r;
-  r.name = "table_get";
-  const Timed timed = run_timed(n, h.topt, body);
-  r.ns_per_op = timed.ns_per_op;
-  r.iterations = timed.iterations;
-  ampc::Runtime mrt(ampc::Config::for_problem(n, 0.5));
-  ampc::Table<std::uint64_t, std::uint64_t> mt(mrt, "bench.table");
-  for (std::uint64_t i = 0; i < n; ++i) mt.seed(i, i * 3);
-  mrt.round_over_items("bench.get", n,
-                       [&](ampc::MachineContext&, std::uint64_t i) {
-                         if (!mt.get(i % n)) std::abort();
                        });
   fill_model_metrics(r, mrt.metrics());
   h.record(std::move(r), n);
@@ -389,9 +329,7 @@ int main(int argc, char** argv) {
           ? std::vector<std::uint64_t>{1 << 14, 1 << 16, 1 << 18}
           : std::vector<std::uint64_t>{1 << 14, 1 << 16};
   for (const std::uint64_t n : put_sizes) {
-    bench_table_put_commit(h, n);
     bench_dense_put_commit(h, n);
-    bench_table_get(h, n);
   }
   // Recovery overhead at a nonzero injected crash rate (BENCHMARKS.md
   // "fault recovery").

@@ -16,13 +16,14 @@ int main() {
               static_cast<unsigned long long>(
                   rt.config().machine_memory_words));
 
-  // A distributed hash table: writes staged during a round become visible
-  // only after the round barrier (AMPC's H_{i-1} -> H_i discipline).
-  Table<std::uint64_t, std::uint64_t> table(rt, "tour");
+  // A distributed hash table over keys [0, 16), every slot initialized to
+  // the kNoNext sentinel: writes staged during a round become visible only
+  // after the round barrier (AMPC's H_{i-1} -> H_i discipline).
+  DenseTable<std::uint64_t> table(rt, "tour", 16, kNoNext);
   rt.round("write_phase", 8, [&](MachineContext& ctx) {
     table.put(ctx.machine_id(), ctx.machine_id() * 100);
     // Not visible yet: this read sees the PREVIOUS round's table.
-    if (!table.get(ctx.machine_id()).has_value()) {
+    if (table.get(ctx.machine_id()) == kNoNext) {
       // expected — staged writes are invisible mid-round
     }
   });
@@ -32,10 +33,10 @@ int main() {
   rt.round("adaptive_walk", 1, [&](MachineContext&) {
     std::uint64_t hops = 0;
     std::uint64_t cursor = 0;
-    while (auto v = table.get(cursor)) {
+    for (std::uint64_t v; (v = table.get(cursor)) != kNoNext;) {
       ++hops;
-      if (*v / 100 == 7) break;
-      cursor = *v / 100 + 1;
+      if (v / 100 == 7) break;
+      cursor = v / 100 + 1;
     }
     std::printf("adaptive walk made %llu dependent reads in ONE round\n",
                 static_cast<unsigned long long>(hops));
@@ -52,7 +53,7 @@ int main() {
 
   // Table leases: how the algorithm layer actually creates tables. A lease
   // behaves like a pointer to the table; releasing it returns the storage to
-  // the runtime's pool, and the next lease of the same concrete type reuses
+  // the runtime's pool, and the next lease of the same value type reuses
   // it — zero heap churn in steady state, identical semantics otherwise
   // (DESIGN.md "Table and runtime pooling").
   {

@@ -8,9 +8,10 @@
 //   * Runtime::round(label, machines, body) — executes `machines` virtual
 //     machines on a thread pool, counts one model round, and commits all
 //     staged table writes at the barrier;
-//   * Table<K,V> / DenseTable<V> — sharded hash table / dense array with
-//     frozen reads (only data committed in earlier rounds is visible) and
-//     staged writes;
+//   * DenseTable<V> — the distributed hash table, with frozen reads (only
+//     data committed in earlier rounds is visible) and staged writes. Every
+//     table of the algorithms is keyed by a vertex or edge id in [0, n), so
+//     a dense array serves as the hash table, without hashing;
 //   * MachineContext — tracks per-machine read/write word counts against the
 //     O(n^eps) budget (the model bounds a machine's DHT traffic per round by
 //     its local memory).
@@ -53,7 +54,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <typeindex>
@@ -154,15 +154,15 @@ struct Metrics {
 
 namespace detail {
 
-// Commit protocol between Runtime and the tables, implemented once by
-// StagedTable below. The barrier seals each table's dirty logs (the staging
-// logs that received entries this round), then runs two phases the runtime
-// can fan out over the thread pool:
+// Commit protocol between Runtime and the tables, implemented by DenseTable
+// below. The barrier seals each table's dirty logs (the staging logs that
+// received entries this round), then runs two phases the runtime can fan
+// out over the thread pool:
 //   phase A  partition_staged(b) — group the b-th block of a dirty log by
 //            shard (independent across blocks);
 //   phase B  commit_shard(s)     — apply shard s's slices of the dirty logs
 //            merged by machine id, the overflow log last (independent
-//            across shards: disjoint key ranges).
+//            across shards: disjoint index ranges).
 // Below the runtime's parallel threshold, commit_sealed() replaces both
 // phases with one serial walk. finish_commit() then runs on every
 // registered table, staged or not.
@@ -198,9 +198,8 @@ class TableBase {
   // Serial commit of an already-sealed table (small rounds): one walk that
   // merges the dirty logs by machine id, program order within a machine,
   // the overflow log last, with no shard partition. Bit-identical to phases
-  // A+B: shards own disjoint keys, so every key sees its writes in the same
-  // order, and each shard's insertion sequence is the same subsequence of
-  // the walk.
+  // A+B: shards own disjoint indices, so every index sees its writes in the
+  // same order.
   virtual void commit_sealed() = 0;
 };
 
@@ -209,31 +208,11 @@ class TableBase {
 class Runtime;
 template <class T>
 class TableLease;
-template <class K, class V, class Hash = std::hash<K>>
-class Table;
 template <class V>
 class DenseTable;
 
-// Merge policies for writes committed under the same key in one round.
+// Merge policies for writes committed under the same index in one round.
 enum class Merge { kOverwrite, kMin, kMax, kSum };
-
-template <class V>
-void apply_merge(V& dst, const V& src, Merge policy) {
-  if (policy == Merge::kOverwrite) {
-    dst = src;
-    return;
-  }
-  if constexpr (requires(V a, V b) { a < b; a += b; }) {
-    switch (policy) {
-      case Merge::kOverwrite: dst = src; break;
-      case Merge::kMin: dst = std::min(dst, src); break;
-      case Merge::kMax: dst = std::max(dst, src); break;
-      case Merge::kSum: dst += src; break;
-    }
-  } else {
-    REPRO_CHECK_MSG(false, "merge policy needs an ordered/summable value type");
-  }
-}
 
 // Per-virtual-machine context; installed thread-locally while the machine's
 // task runs so table reads can be accounted to the right machine, and table
@@ -310,28 +289,21 @@ class Runtime {
 
   // --- Table pooling (DESIGN.md "Table and runtime pooling") --------------
   //
-  // lease_dense / lease_table replace direct Table/DenseTable construction
-  // in the algorithm layer: the returned TableLease behaves like the table
-  // (operator->), registers it for the barrier commit exactly as the old
-  // constructor did, and on destruction returns the object — shard vectors,
-  // staging logs (capped at twice the last committed round's entries),
-  // hash-map buckets and all — to a per-runtime free list keyed by concrete
-  // table type. A pool hit resets
-  // the committed contents in place (O(size) value init for dense tables,
-  // O(entries previously committed) map clears for sparse ones) with zero
-  // heap churn in steady state. Contents, metrics, and traffic are
-  // bit-identical to fresh construction: registration happens at the same
-  // program points and reset() restores exactly the constructed state.
+  // lease_dense replaces direct DenseTable construction in the algorithm
+  // layer: the returned TableLease behaves like the table (operator->),
+  // registers it for the barrier commit exactly as the constructor does, and
+  // on destruction returns the object — committed storage and staging logs
+  // (capped at twice the last committed round's entries) — to a per-runtime
+  // free list keyed by value type. A pool hit resets the committed contents
+  // in place (an O(size) fill) with zero heap churn in steady state.
+  // Contents, metrics, and traffic are bit-identical to fresh construction:
+  // registration happens at the same program points and reset() restores
+  // exactly the constructed state.
 
   template <class V>
   TableLease<DenseTable<V>> lease_dense(std::string name, std::size_t size,
                                         V init = V{},
                                         Merge policy = Merge::kOverwrite);
-
-  template <class K, class V, class Hash = std::hash<K>>
-  TableLease<Table<K, V, Hash>> lease_table(std::string name,
-                                            Merge policy = Merge::kOverwrite,
-                                            std::size_t shards = 64);
 
   // Reuse this runtime (and its table pool) for the next subproblem of a
   // larger solve: restores config and metrics to construction state. Must be
@@ -341,11 +313,10 @@ class Runtime {
   void reset_for_subproblem(const Config& cfg);
 
   struct PoolStats {
-    std::uint64_t leases = 0;  // lease_dense/lease_table calls
+    std::uint64_t leases = 0;  // lease_dense calls
     std::uint64_t reuses = 0;  // leases served from the free list
     // Heap bytes held by the live and pooled tables: staging logs with
-    // their partition copies and offsets, and committed storage (for hash
-    // tables an estimate: nodes, buckets and shard headers).
+    // their partition copies and offsets, and committed storage.
     std::uint64_t staging_bytes = 0;
     std::uint64_t storage_bytes = 0;
 
@@ -361,8 +332,8 @@ class Runtime {
   [[nodiscard]] PoolStats pool_stats() const;
 
   // --- Fault-injection hooks (fault.h) ------------------------------------
-  // Called by Table/DenseTable on the read and put paths while a machine
-  // context is active; one predictable null check when no plan is installed.
+  // Called by DenseTable on the read and put paths while a machine context
+  // is active; one predictable null check when no plan is installed.
   void fault_point_read(MachineContext& ctx) {
     if (injector_ != nullptr) fault_read_slow(ctx);
   }
@@ -420,7 +391,7 @@ class Runtime {
   PoolStats pool_stats_;  // guarded by pool_mu_
 };
 
-// RAII handle for a pooled table (Runtime::lease_dense / lease_table).
+// RAII handle for a pooled table (Runtime::lease_dense).
 // Move-only; behaves like a pointer to the table. Destruction (or release())
 // unregisters the table from the runtime and returns its storage to the
 // runtime's pool — the same program point where a directly-constructed
@@ -462,20 +433,119 @@ class TableLease {
   std::unique_ptr<T> table_;
 };
 
-namespace detail {
-
-// The staging-and-commit core shared by Table and DenseTable: registration,
-// the staging logs with their overflow log, and the TableBase commit
-// protocol. Derived supplies the key -> shard map (as the shard argument of
-// stage()), num_commit_shards(), committed storage and its reads, and one
-// non-virtual hook the commit walk applies each staged entry through:
-//   void commit_entry(std::size_t shard, Key& key, V& value);
-// Entries reach the hook in machine-id order, program order within a
-// machine, overflow last, so same-key kOverwrite writes resolve to the
-// highest-machine-id writer.
-template <class Derived, class Key, class V>
-class StagedTable : public TableBase {
+// Dense uint64-indexed table: the model's distributed hash table for keys in
+// [0, size), array-backed. Reads see only data committed at a previous round
+// barrier; put() stages into the running thread's staging log (lock-free —
+// see the header comment) and commits at the barrier through the TableBase
+// protocol. Commit shards are contiguous index ranges, so phase B stays
+// cache-friendly. Entries reach committed storage in machine-id order,
+// program order within a machine, overflow last, so same-index kOverwrite
+// writes resolve to the highest-machine-id writer.
+template <class V>
+class DenseTable final : public detail::TableBase {
  public:
+  DenseTable(Runtime& rt, const std::string& name, std::size_t size,
+             V init = V{}, Merge policy = Merge::kOverwrite)
+      : rt_(rt),
+        policy_(checked_policy(name, policy)),
+        logs_(rt.participants() + 1),
+        data_(size, init),
+        shard_size_(shard_size_for(size)) {
+    dirty_.reserve(logs_.size());
+    rt_.register_table(this);
+  }
+  ~DenseTable() override { rt_.unregister_table(this); }
+  // The runtime holds the table's address until destruction.
+  DenseTable(const DenseTable&) = delete;
+  DenseTable& operator=(const DenseTable&) = delete;
+
+  // Adaptive read during a round, charged to `ctx`: the round bodies of the
+  // algorithm layer read through this (DESIGN.md "Counted reads").
+  V get(MachineContext& ctx, std::uint64_t i) const {
+    REPRO_DCHECK(i < data_.size());
+    rt_.fault_point_read(ctx);
+    ctx.count_read(kWords);
+    return data_[i];
+  }
+  // The same read, charged to the thread's active machine; driver-side reads
+  // (no active machine) count nothing.
+  V get(std::uint64_t i) const {
+    if (auto* ctx = MachineContext::current()) return get(*ctx, i);
+    REPRO_DCHECK(i < data_.size());
+    return data_[i];
+  }
+
+  // Staged write; visible after the enclosing round's barrier.
+  void put(std::uint64_t i, V value) {
+    REPRO_DCHECK(i < data_.size());
+    const auto shard = static_cast<std::uint32_t>(i / shard_size_);
+    if (auto* ctx = MachineContext::current()) {
+      rt_.fault_point_write(*ctx);
+      ctx->count_write(kWords);
+      REPRO_DCHECK(ctx->slot() < overflow_slot());
+      REPRO_DCHECK(ctx->machine_id() < kNoMachine);
+      logs_[ctx->slot()].entries.push_back(
+          {shard, static_cast<std::uint32_t>(ctx->machine_id()), i,
+           std::move(value)});
+      return;
+    }
+    // Driver-side write outside any machine: the overflow log, committed
+    // after every machine's entries.
+    std::lock_guard<std::mutex> lock(overflow_mu_);
+    logs_[overflow_slot()].entries.push_back(
+        {shard, kNoMachine, i, std::move(value)});
+  }
+
+  // Round-0 seeding / driver-side access (no traffic accounting).
+  void seed(std::uint64_t i, V value) { data_[i] = std::move(value); }
+  const V& raw(std::uint64_t i) const { return data_[i]; }
+  [[nodiscard]] std::size_t size() const { return data_.size(); }
+
+  // Pool-reset (Runtime::lease_dense): restore constructed state in place,
+  // reusing the heap block whenever capacity suffices (staging logs keep
+  // their capped capacity). The init fill takes the memset path for
+  // uniform byte patterns — 0 and kNoNext (all-0xFF) cover nearly every
+  // table in the algorithm layer, and element-wise std::fill measured ~4×
+  // slower than memset on the lease microbench.
+  void reset(const std::string& name, std::size_t size, V init,
+             Merge policy) {
+    policy_ = checked_policy(name, policy);
+    shard_size_ = shard_size_for(size);
+    bool filled = false;
+    if constexpr (std::is_trivially_copyable_v<V> && sizeof(V) >= 1) {
+      unsigned char bytes[sizeof(V)];
+      std::memcpy(bytes, &init, sizeof(V));
+      bool uniform = true;
+      for (std::size_t b = 1; b < sizeof(V); ++b) {
+        uniform = uniform && bytes[b] == bytes[0];
+      }
+      if (uniform) {
+        if (data_.size() != size) data_.resize(size);
+        if (size != 0) {
+          std::memset(static_cast<void*>(data_.data()), bytes[0],
+                      size * sizeof(V));
+        }
+        filled = true;
+      }
+    }
+    if (!filled) data_.assign(size, init);
+    finish_commit(~0ull);  // drop any staged-but-uncommitted leftovers
+  }
+
+  [[nodiscard]] std::uint64_t size_words() const override {
+    return data_.size() * kWords;
+  }
+
+  [[nodiscard]] std::uint64_t storage_bytes() const override {
+    return data_.capacity() * sizeof(V);
+  }
+
+  [[nodiscard]] std::size_t num_commit_shards() const override {
+    return data_.empty() ? 1 : ceil_div(data_.size(), shard_size_);
+  }
+
+  // --- TableBase commit protocol ------------------------------------------
+
   std::uint64_t seal_staged() override {
     dirty_.clear();  // capacity reserved at construction
     std::uint64_t n = 0;
@@ -591,62 +661,22 @@ class StagedTable : public TableBase {
            blocks_.capacity() * sizeof(Block);
   }
 
- protected:
-  StagedTable(Runtime& rt, std::string name, Merge policy)
-      : rt_(rt),
-        name_(std::move(name)),
-        policy_(policy),
-        logs_(rt.participants() + 1) {
-    dirty_.reserve(logs_.size());
-    rt_.register_table(this);
-  }
-  ~StagedTable() override { rt_.unregister_table(this); }
-
-  // Read-side accounting: fault point, then `words` against the budget of
-  // `ctx`, the machine doing the read.
-  void account_read(MachineContext& ctx, std::uint64_t words) const {
-    rt_.fault_point_read(ctx);
-    ctx.count_read(words);
-  }
-  // The same, charged to the thread's active machine; driver-side reads (no
-  // active machine) count nothing.
-  void account_read(std::uint64_t words) const {
-    if (auto* ctx = MachineContext::current()) account_read(*ctx, words);
-  }
-
-  // Staged write of `words` words into `shard`; visible after the enclosing
-  // round's barrier.
-  void stage(std::uint32_t shard, Key key, V value, std::uint64_t words) {
-    if (auto* ctx = MachineContext::current()) {
-      rt_.fault_point_write(*ctx);
-      ctx->count_write(words);
-      REPRO_DCHECK(ctx->slot() < overflow_slot());
-      REPRO_DCHECK(ctx->machine_id() < kNoMachine);
-      logs_[ctx->slot()].entries.push_back(
-          {shard, static_cast<std::uint32_t>(ctx->machine_id()),
-           std::move(key), std::move(value)});
-      return;
-    }
-    // Driver-side write outside any machine: the overflow log, committed
-    // after every machine's entries.
-    std::lock_guard<std::mutex> lock(overflow_mu_);
-    logs_[overflow_slot()].entries.push_back(
-        {shard, kNoMachine, std::move(key), std::move(value)});
-  }
-
-  Runtime& rt_;
-  std::string name_;
-  Merge policy_;
-
  private:
+  static constexpr std::uint64_t kWords = (sizeof(V) + 7) / 8;
+  static constexpr std::uint64_t kMaxShards = 64;
+  static constexpr std::uint64_t kMinPartitionBlock = 256;
   static constexpr std::uint32_t kNoMachine = ~0u;
+  // kMin, kMax and kSum need these; kOverwrite takes any value type.
+  static constexpr bool kOrdered = requires(V a, V b) {
+    a < b;
+    a += b;
+  };
 
-  // `machine` sits in the padding after `shard` for 8-byte keys, so the tag
-  // costs the dense tables nothing.
+  // `machine` sits in the padding after `shard`, so the tag costs nothing.
   struct Staged {
     std::uint32_t shard;
     std::uint32_t machine;  // commit order; kNoMachine in the overflow log
-    Key key;
+    std::uint64_t index;
     V value;
   };
   // One log per round participant plus the overflow log. During a round a
@@ -691,13 +721,38 @@ class StagedTable : public TableBase {
     std::vector<Run> heap_;
   };
 
-  static constexpr std::uint64_t kMinPartitionBlock = 256;
+  // Checked once per (re)construction, so the commit walk need not.
+  static Merge checked_policy(const std::string& name, Merge policy) {
+    REPRO_CHECK_MSG(kOrdered || policy == Merge::kOverwrite,
+                    "merge policy needs an ordered/summable value type in "
+                    "table " + name);
+    return policy;
+  }
+
+  static std::uint64_t shard_size_for(std::size_t size) {
+    return std::max<std::uint64_t>(
+        1, ceil_div(std::max<std::uint64_t>(1, size), kMaxShards));
+  }
 
   [[nodiscard]] std::size_t overflow_slot() const { return logs_.size() - 1; }
 
   template <class T>
   static void release_above(std::vector<T>& v, std::uint64_t keep) {
     if (v.capacity() > keep) std::vector<T>().swap(v);
+  }
+
+  void merge(const Staged& e) {
+    V& dst = data_[e.index];
+    if constexpr (kOrdered) {
+      switch (policy_) {
+        case Merge::kOverwrite: dst = e.value; return;
+        case Merge::kMin: dst = std::min(dst, e.value); return;
+        case Merge::kMax: dst = std::max(dst, e.value); return;
+        case Merge::kSum: dst += e.value; return;
+      }
+    } else {
+      dst = e.value;
+    }
   }
 
   // Moves an exhausted run on to `shard`'s slice of its log's next
@@ -718,7 +773,6 @@ class StagedTable : public TableBase {
   // dirty_ when dirty, follows. A log's blocks chain into its one run, so a
   // machine whose entries straddle two blocks stays in program order.
   void apply_in_order(Run* runs, std::size_t shard) {
-    Derived& self = static_cast<Derived&>(*this);
     std::size_t n = dirty_.size();
     const bool overflow = n != 0 && dirty_[n - 1] == overflow_slot();
     if (overflow) --n;
@@ -742,18 +796,18 @@ class StagedTable : public TableBase {
       if (best == n) break;
       Run& r = runs[best];
       do {
-        self.commit_entry(r.first->shard, r.first->key, r.first->value);
+        merge(*r.first);
       } while (++r.first != r.last && r.first->machine < bound);
     }
     if (overflow) {
       for (Run& r = runs[n]; refill(r, shard); r.first = r.last) {
-        for (Staged* e = r.first; e != r.last; ++e) {
-          self.commit_entry(e->shard, e->key, e->value);
-        }
+        for (const Staged* e = r.first; e != r.last; ++e) merge(*e);
       }
     }
   }
 
+  Runtime& rt_;
+  Merge policy_;
   std::vector<Log> logs_;  // slot-indexed (MachineContext::slot), overflow last
   std::mutex overflow_mu_;
   std::vector<std::uint32_t> dirty_;  // sealed: non-empty log slots, ascending
@@ -765,235 +819,11 @@ class StagedTable : public TableBase {
   std::vector<Staged> parted_;
   std::vector<std::uint32_t> offsets_;
   std::size_t stride_ = 1;
-};
-
-}  // namespace detail
-
-// Sharded hash table with AMPC visibility semantics. Reads see only data
-// committed at a previous round barrier; put() stages into the running
-// thread's staging log (lock-free — see the header comment).
-template <class K, class V, class Hash>
-class Table final : public detail::StagedTable<Table<K, V, Hash>, K, V> {
- public:
-  Table(Runtime& rt, std::string name, Merge policy = Merge::kOverwrite,
-        std::size_t shards = 64)
-      : detail::StagedTable<Table, K, V>(rt, std::move(name), policy),
-        shards_vec_(std::max<std::size_t>(1, shards)) {}
-
-  // Adaptive read during a round (counts against the machine budget).
-  // Committed storage is immutable while machines run, so reads take no lock.
-  std::optional<V> get(const K& key) const {
-    this->account_read(words_per_kv());
-    const auto& data = shards_vec_[shard_of(key)].data;
-    const auto it = data.find(key);
-    if (it == data.end()) return std::nullopt;
-    return it->second;
-  }
-
-  [[nodiscard]] bool contains(const K& key) const {
-    return get(key).has_value();
-  }
-
-  V at(const K& key) const {
-    auto v = get(key);
-    REPRO_CHECK_MSG(v.has_value(), "missing key in table " + this->name_);
-    return *v;
-  }
-
-  // Staged write; visible after the enclosing round's barrier.
-  void put(const K& key, V value) {
-    this->stage(static_cast<std::uint32_t>(shard_of(key)), key,
-                std::move(value), words_per_kv());
-  }
-
-  // Immediate insert for round-0 input distribution (counts no traffic;
-  // driver-side only, never concurrent with a round).
-  void seed(K key, V value) { commit_entry(shard_of(key), key, value); }
-
-  [[nodiscard]] std::uint64_t size_words() const override {
-    return size() * words_per_kv();
-  }
-
-  // Estimate: one node (value plus next pointer) per entry, the bucket
-  // arrays and the shard headers.
-  [[nodiscard]] std::uint64_t storage_bytes() const override {
-    constexpr std::uint64_t kNode =
-        sizeof(void*) + sizeof(typename Shard::Map::value_type);
-    std::uint64_t bytes = shards_vec_.capacity() * sizeof(Shard);
-    for (const auto& s : shards_vec_) {
-      bytes += s.data.size() * kNode + s.data.bucket_count() * sizeof(void*);
-    }
-    return bytes;
-  }
-
-  [[nodiscard]] std::uint64_t size() const {
-    std::uint64_t n = 0;
-    for (const auto& s : shards_vec_) n += s.data.size();
-    return n;
-  }
-
-  // Snapshot of committed contents (driver-side, between rounds).
-  std::vector<std::pair<K, V>> snapshot() const {
-    std::vector<std::pair<K, V>> out;
-    for (const auto& s : shards_vec_) {
-      out.insert(out.end(), s.data.begin(), s.data.end());
-    }
-    return out;
-  }
-
-  // Pool-reset (Runtime::lease_table): restore constructed state in place.
-  // Map clears keep bucket arrays, staging logs keep their (capped)
-  // capacity — only entries actually committed since the last reset cost
-  // anything.
-  void reset(std::string name, Merge policy, std::size_t shards) {
-    this->name_ = std::move(name);
-    this->policy_ = policy;
-    shards = std::max<std::size_t>(1, shards);
-    if (shards_vec_.size() != shards) shards_vec_.resize(shards);
-    for (auto& s : shards_vec_) {
-      if (!s.data.empty()) s.data.clear();
-    }
-    this->finish_commit(~0ull);  // drop any staged-but-uncommitted leftovers
-  }
-
-  [[nodiscard]] std::size_t num_commit_shards() const override {
-    return shards_vec_.size();
-  }
-
- private:
-  friend class detail::StagedTable<Table, K, V>;
-
-  struct Shard {
-    using Map = std::unordered_map<K, V, Hash>;
-    Map data;
-  };
-
-  static constexpr std::uint64_t words_per_kv() {
-    return (sizeof(K) + sizeof(V) + 7) / 8;
-  }
-
-  [[nodiscard]] std::size_t shard_of(const K& key) const {
-    return Hash{}(key) % shards_vec_.size();
-  }
-
-  void commit_entry(std::size_t shard, K& key, V& value) {
-    auto& data = shards_vec_[shard].data;
-    const auto it = data.find(key);
-    if (it == data.end()) {
-      data.emplace(std::move(key), std::move(value));
-    } else {
-      apply_merge(it->second, value, this->policy_);
-    }
-  }
-
-  std::vector<Shard> shards_vec_;
-};
-
-// Dense uint64-indexed table (a hash table whose keys are 0..size-1): same
-// visibility and staging semantics, array-backed for the index-structured
-// data (tree arrays, sparse tables) that dominates the algorithms. Commit
-// shards are contiguous index ranges, so phase B stays cache-friendly.
-template <class V>
-class DenseTable final
-    : public detail::StagedTable<DenseTable<V>, std::uint64_t, V> {
- public:
-  DenseTable(Runtime& rt, std::string name, std::size_t size, V init = V{},
-             Merge policy = Merge::kOverwrite)
-      : detail::StagedTable<DenseTable, std::uint64_t, V>(rt, std::move(name),
-                                                          policy),
-        data_(size, init), shard_size_(shard_size_for(size)) {}
-
-  // Adaptive read during a round, charged to `ctx`: the round bodies of the
-  // algorithm layer read through this (DESIGN.md "Counted reads").
-  V get(MachineContext& ctx, std::uint64_t i) const {
-    REPRO_DCHECK(i < data_.size());
-    this->account_read(ctx, words_per_v());
-    return data_[i];
-  }
-  // The same read, charged to the thread's active machine (if any).
-  V get(std::uint64_t i) const {
-    REPRO_DCHECK(i < data_.size());
-    this->account_read(words_per_v());
-    return data_[i];
-  }
-
-  void put(std::uint64_t i, V value) {
-    REPRO_DCHECK(i < data_.size());
-    this->stage(static_cast<std::uint32_t>(i / shard_size_), i,
-                std::move(value), words_per_v());
-  }
-
-  // Round-0 seeding / driver-side access (no traffic accounting).
-  void seed(std::uint64_t i, V value) { data_[i] = std::move(value); }
-  const V& raw(std::uint64_t i) const { return data_[i]; }
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-
-  // Pool-reset (Runtime::lease_dense): restore constructed state in place,
-  // reusing the heap block whenever capacity suffices (staging logs keep
-  // their capped capacity). The init fill takes the memset path for
-  // uniform byte patterns — 0 and kNoNext (all-0xFF) cover nearly every
-  // table in the algorithm layer, and element-wise std::fill measured ~4×
-  // slower than memset on the lease microbench.
-  void reset(std::string name, std::size_t size, V init, Merge policy) {
-    this->name_ = std::move(name);
-    this->policy_ = policy;
-    shard_size_ = shard_size_for(size);
-    bool filled = false;
-    if constexpr (std::is_trivially_copyable_v<V> && sizeof(V) >= 1) {
-      unsigned char bytes[sizeof(V)];
-      std::memcpy(bytes, &init, sizeof(V));
-      bool uniform = true;
-      for (std::size_t b = 1; b < sizeof(V); ++b) {
-        uniform = uniform && bytes[b] == bytes[0];
-      }
-      if (uniform) {
-        if (data_.size() != size) data_.resize(size);
-        if (size != 0) {
-          std::memset(static_cast<void*>(data_.data()), bytes[0],
-                      size * sizeof(V));
-        }
-        filled = true;
-      }
-    }
-    if (!filled) data_.assign(size, init);
-    this->finish_commit(~0ull);  // drop any staged-but-uncommitted leftovers
-  }
-
-  [[nodiscard]] std::uint64_t size_words() const override {
-    return data_.size() * words_per_v();
-  }
-
-  [[nodiscard]] std::uint64_t storage_bytes() const override {
-    return data_.capacity() * sizeof(V);
-  }
-
-  [[nodiscard]] std::size_t num_commit_shards() const override {
-    return data_.empty() ? 1 : ceil_div(data_.size(), shard_size_);
-  }
-
- private:
-  friend class detail::StagedTable<DenseTable, std::uint64_t, V>;
-
-  static constexpr std::uint64_t kMaxShards = 64;
-
-  static constexpr std::uint64_t words_per_v() {
-    return (sizeof(V) + 7) / 8;
-  }
-
-  static std::uint64_t shard_size_for(std::size_t size) {
-    return std::max<std::uint64_t>(
-        1, ceil_div(std::max<std::uint64_t>(1, size), kMaxShards));
-  }
-
-  void commit_entry(std::size_t /*shard*/, std::uint64_t& index, V& value) {
-    apply_merge(data_[index], value, this->policy_);
-  }
-
   std::vector<V> data_;
   std::uint64_t shard_size_;  // indices per commit shard
 };
 
-// --- Lease factories (need the table definitions above) --------------------
+// --- Lease factory (needs the table definition above) ----------------------
 
 template <class V>
 TableLease<DenseTable<V>> Runtime::lease_dense(std::string name,
@@ -1001,29 +831,13 @@ TableLease<DenseTable<V>> Runtime::lease_dense(std::string name,
                                                Merge policy) {
   std::unique_ptr<DenseTable<V>> t = take_pooled<DenseTable<V>>();
   if (t != nullptr) {
-    t->reset(std::move(name), size, init, policy);
+    t->reset(name, size, init, policy);
     register_table(t.get());
   } else {
     // Pool miss: fresh construction registers in the constructor.
-    t = std::make_unique<DenseTable<V>>(*this, std::move(name), size, init,
-                                        policy);
+    t = std::make_unique<DenseTable<V>>(*this, name, size, init, policy);
   }
   return TableLease<DenseTable<V>>(this, std::move(t));
-}
-
-template <class K, class V, class Hash>
-TableLease<Table<K, V, Hash>> Runtime::lease_table(std::string name,
-                                                   Merge policy,
-                                                   std::size_t shards) {
-  std::unique_ptr<Table<K, V, Hash>> t = take_pooled<Table<K, V, Hash>>();
-  if (t != nullptr) {
-    t->reset(std::move(name), policy, shards);
-    register_table(t.get());
-  } else {
-    t = std::make_unique<Table<K, V, Hash>>(*this, std::move(name), policy,
-                                            shards);
-  }
-  return TableLease<Table<K, V, Hash>>(this, std::move(t));
 }
 
 // Reuses Runtime objects — and their table pools — across the subproblems of

@@ -21,11 +21,12 @@ AmpcDecomposition ampc_low_depth_decomposition(Runtime& rt,
 
   // --- Heavy children (Definition 2): one merge-reduction round. ----------
   // Encoded proposal (subtree << 32) | (~child) under kMax picks the largest
-  // subtree, breaking ties toward the smaller child id (matches seq).
+  // subtree, breaking ties toward the smaller child id (matches seq). 0 means
+  // "no heavy child": subtree >= 1 puts every proposal at 2^32 or above.
   auto t_subtree = rt.lease_dense<std::uint64_t>("ldd.subtree", n);
   for (VertexId v = 0; v < n; ++v) t_subtree->seed(v, tree.subtree[v]);
-  auto t_heavy_prop = rt.lease_table<std::uint64_t, std::uint64_t>(
-      "ldd.heavyprop", Merge::kMax);
+  auto t_heavy_prop =
+      rt.lease_dense<std::uint64_t>("ldd.heavyprop", n, 0, Merge::kMax);
   rt.round_over_items("low_depth.heavy", n,
                       [&](MachineContext& ctx, std::uint64_t v) {
     const VertexId p = tree.parent[v];
@@ -35,7 +36,9 @@ AmpcDecomposition ampc_low_depth_decomposition(Runtime& rt,
     t_heavy_prop->put(p, enc);
   });
   std::vector<VertexId> heavy(n, kInvalidVertex);
-  for (const auto& [p, enc] : t_heavy_prop->snapshot()) {
+  for (VertexId p = 0; p < n; ++p) {
+    const std::uint64_t enc = t_heavy_prop->raw(p);
+    if (enc == 0) continue;
     heavy[p] = static_cast<VertexId>(0xffffffffull - (enc & 0xffffffffull));
   }
 

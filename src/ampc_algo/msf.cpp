@@ -18,8 +18,6 @@ std::vector<EdgeId> ampc_msf_boruvka(Runtime& rt, const WGraph& g,
   std::iota(comp.begin(), comp.end(), 0);
   std::vector<std::uint8_t> in_forest(g.edges.size(), 0);
   const Adjacency adj(g);
-  const std::uint64_t budget =
-      std::max<std::uint64_t>(8, rt.config().machine_memory_words);
 
   VertexId num_comps = n;
   for (;;) {
@@ -29,7 +27,7 @@ std::vector<EdgeId> ampc_msf_boruvka(Runtime& rt, const WGraph& g,
     auto t_comp = rt.lease_dense<std::uint64_t>("msf.comp", n);
     for (VertexId v = 0; v < n; ++v) t_comp->seed(v, comp[v]);
     auto t_min_edge =
-        rt.lease_table<std::uint64_t, std::uint64_t>("msf.minedge", Merge::kMin);
+        rt.lease_dense<std::uint64_t>("msf.minedge", n, kNoNext, Merge::kMin);
     rt.round_over_items("msf.propose", n,
                         [&](MachineContext& ctx, std::uint64_t v) {
       const std::uint64_t cv = t_comp->get(ctx, v);
@@ -44,9 +42,6 @@ std::vector<EdgeId> ampc_msf_boruvka(Runtime& rt, const WGraph& g,
       if (best != kNoNext) t_min_edge->put(cv, best);
     });
 
-    const auto proposals = t_min_edge->snapshot();
-    if (proposals.empty()) break;  // spanning forest complete
-
     // Phase round 2: contract along the hook pointers. With unique times the
     // hook graph is a functional pseudoforest whose only cycles are 2-cycles
     // sharing one edge; each walk follows hooks (times strictly decrease
@@ -54,7 +49,11 @@ std::vector<EdgeId> ampc_msf_boruvka(Runtime& rt, const WGraph& g,
     // Walks may exceed the per-machine budget on adversarial chains — the
     // runtime records the violation; [4]'s full algorithm avoids it.
     auto t_hook = rt.lease_dense<std::uint64_t>("msf.hook", n, kNoNext);
-    for (const auto& [c, key] : proposals) {
+    bool hooked = false;
+    for (VertexId c = 0; c < n; ++c) {
+      const std::uint64_t key = t_min_edge->raw(c);
+      if (key == kNoNext) continue;  // no proposal for component c
+      hooked = true;
       const EdgeId e = static_cast<EdgeId>(key & 0xffffffffull);
       if (!in_forest[e]) in_forest[e] = 1;
       const VertexId cu = comp[g.edges[e].u];
@@ -62,7 +61,7 @@ std::vector<EdgeId> ampc_msf_boruvka(Runtime& rt, const WGraph& g,
       const VertexId other = (cu == c) ? cv2 : cu;
       t_hook->seed(c, other);
     }
-    (void)budget;
+    if (!hooked) break;  // spanning forest complete
     auto t_new = rt.lease_dense<std::uint64_t>("msf.newlabel", n);
     rt.round_over_items("msf.contract", n,
                         [&](MachineContext& ctx, std::uint64_t v) {

@@ -46,8 +46,6 @@ inline bool is_leaf(std::uint64_t leaves, NodeId x) { return x >= leaves; }
 inline NodeId parent(NodeId x) { return x >> 1; }
 inline NodeId left_child(NodeId x) { return 2 * x; }
 inline NodeId right_child(NodeId x) { return 2 * x + 1; }
-inline bool is_left_child(NodeId x) { return x != 1 && (x & 1) == 0; }
-inline bool is_right_child(NodeId x) { return x != 1 && (x & 1) == 1; }
 
 // Depth within the binarized path; the root has depth 1.
 inline std::uint32_t depth(NodeId x) {
@@ -79,14 +77,12 @@ inline std::uint64_t leaf_position(std::uint64_t leaves, NodeId x) {
   return x >= (1ull << d) ? x - (1ull << d) : bottom + (x - leaves);
 }
 
-// Leftmost / rightmost leaf of the subtree rooted at x. Closed forms — the
-// descend-left walk multiplies by 2 per step, so the step count is the
-// smallest k with x·2^k >= L; descend-right maps x -> 2x+1, i.e. after k
-// steps (x+1)·2^k - 1, stopping at the smallest k with (x+1)·2^k >= L+1.
-// Every internal node (ids 1..L-1) has both children in the almost-complete
-// heap, so the walks never fall off the tree and the closed forms are exact.
-// These sit on the hot path of the Lemma 10 climbs, so the step count comes
-// from bit widths, not from a division (min_doublings).
+// Leftmost leaf of the subtree rooted at x. Closed form — the descend-left
+// walk multiplies by 2 per step, so the step count is the smallest k with
+// x·2^k >= L. Every internal node (ids 1..L-1) has both children in the
+// almost-complete heap, so the walk never falls off the tree and the closed
+// form is exact. It sits on the hot path of the Lemma 10 climbs, so the step
+// count comes from bit widths, not from a division (min_doublings).
 namespace detail {
 
 // Smallest k with y·2^k >= target, for 1 <= y < target: shifting y to the
@@ -103,10 +99,6 @@ inline std::uint32_t min_doublings(std::uint64_t y, std::uint64_t target) {
 inline NodeId leftmost_leaf(std::uint64_t leaves, NodeId x) {
   if (is_leaf(leaves, x)) return x;
   return x << detail::min_doublings(x, leaves);
-}
-inline NodeId rightmost_leaf(std::uint64_t leaves, NodeId x) {
-  if (is_leaf(leaves, x)) return x;
-  return ((x + 1) << detail::min_doublings(x + 1, leaves + 1)) - 1;
 }
 
 // The label of a leaf, as a depth within this binarized path (the caller

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 
 #include "ampc/runtime.h"
@@ -34,29 +35,40 @@ TEST(AmpcRuntime, CountsRounds) {
 
 TEST(AmpcRuntime, WritesInvisibleUntilBarrier) {
   Runtime rt(small_config());
-  Table<std::uint64_t, std::uint64_t> t(rt, "t");
+  DenseTable<std::uint64_t> t(rt, "t", 16);
   rt.round("write", 1, [&](MachineContext&) {
     t.put(7, 42);
     // AMPC semantics: the write targets the NEXT round's hash table.
-    EXPECT_FALSE(t.get(7).has_value());
+    EXPECT_EQ(t.get(7), 0u);
   });
   // After the barrier the value is visible.
-  rt.round("read", 1, [&](MachineContext&) {
-    ASSERT_TRUE(t.get(7).has_value());
-    EXPECT_EQ(*t.get(7), 42u);
-  });
+  rt.round("read", 1, [&](MachineContext&) { EXPECT_EQ(t.get(7), 42u); });
 }
 
 TEST(AmpcRuntime, MergePolicies) {
   Runtime rt(small_config());
-  Table<std::uint64_t, std::uint64_t> tmin(rt, "min", Merge::kMin);
-  Table<std::uint64_t, std::uint64_t> tsum(rt, "sum", Merge::kSum);
+  DenseTable<std::uint64_t> tmin(rt, "min", 4, ~0ull, Merge::kMin);
+  DenseTable<std::uint64_t> tsum(rt, "sum", 4, 0, Merge::kSum);
   rt.round("w", 8, [&](MachineContext& ctx) {
     tmin.put(1, 100 + ctx.machine_id());
     tsum.put(1, 1);
   });
-  EXPECT_EQ(tmin.at(1), 100u);
-  EXPECT_EQ(tsum.at(1), 8u);
+  EXPECT_EQ(tmin.raw(1), 100u);
+  EXPECT_EQ(tsum.raw(1), 8u);
+}
+
+TEST(AmpcRuntime, MergingPolicyNeedsOrderedValueType) {
+  // A pair has no +=, so only kOverwrite can commit it; the table rejects
+  // the other policies when it is built or re-leased, before any round.
+  using Pair = std::pair<std::uint64_t, std::uint64_t>;
+  Runtime rt(small_config());
+  EXPECT_THROW(DenseTable<Pair>(rt, "p", 4, Pair{}, Merge::kSum),
+               std::logic_error);
+  EXPECT_THROW(rt.lease_dense<Pair>("p", 4, Pair{}, Merge::kMin),
+               std::logic_error);
+  DenseTable<Pair> ok(rt, "p", 4);
+  rt.round("w", 1, [&](MachineContext&) { ok.put(2, {3, 4}); });
+  EXPECT_EQ(ok.raw(2), Pair(3, 4));
 }
 
 TEST(AmpcRuntime, DenseTableStagedWrites) {

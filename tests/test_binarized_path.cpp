@@ -57,10 +57,6 @@ TEST(BinarizedPath, StructureBasics) {
   EXPECT_EQ(bp::depth(1), 1u);
   EXPECT_EQ(bp::depth(2), 2u);
   EXPECT_EQ(bp::depth(7), 3u);
-  EXPECT_TRUE(bp::is_left_child(2));
-  EXPECT_TRUE(bp::is_right_child(3));
-  EXPECT_FALSE(bp::is_left_child(1));
-  EXPECT_FALSE(bp::is_right_child(1));
 }
 
 TEST(BinarizedPath, LeafIndexMatchesPreorderTraversal) {
@@ -88,20 +84,15 @@ TEST(BinarizedPath, HeightIsLogarithmic) {
 }
 
 TEST(BinarizedPath, SubtreeLeafClosedFormsMatchDescendWalk) {
-  // Every node of every path length up to 4096: the bit-width closed forms
-  // against the literal descend-left / descend-right walks.
+  // Every node of every path length up to 4096: the bit-width closed form
+  // against the literal descend-left walk.
   for (std::uint64_t L = 1; L <= 4096; ++L) {
     for (bp::NodeId x = 1; x <= bp::num_nodes(L); ++x) {
       bp::NodeId left = x;
       while (!bp::is_leaf(L, left)) left = bp::left_child(left);
-      bp::NodeId right = x;
-      while (!bp::is_leaf(L, right)) right = bp::right_child(right);
-      if (bp::leftmost_leaf(L, x) != left ||
-          bp::rightmost_leaf(L, x) != right) {
+      if (bp::leftmost_leaf(L, x) != left) {
         ADD_FAILURE() << "L=" << L << " x=" << x << ": leftmost "
-                      << bp::leftmost_leaf(L, x) << " vs " << left
-                      << ", rightmost " << bp::rightmost_leaf(L, x) << " vs "
-                      << right;
+                      << bp::leftmost_leaf(L, x) << " vs " << left;
         return;
       }
     }

@@ -29,11 +29,11 @@ namespace ampccut::ampc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Direct-runtime harness: two rounds over dense + sparse tables, with a
+// Direct-runtime harness: two rounds over two kSum tables, with a
 // driver-side (overflow-buffer) write staged before the first round. Every
 // value is written through Merge::kSum, so a replay that double-commits (or
-// a discard that loses the overflow write) shows up as a wrong sum, not just
-// a wrong presence bit. Returns the run's metrics after asserting contents.
+// a discard that loses the overflow write) shows up as a wrong sum. Returns
+// the run's metrics after asserting contents.
 struct WorkloadMetrics {
   std::uint64_t rounds = 0;
   std::uint64_t dht_reads = 0;
@@ -57,7 +57,7 @@ WorkloadMetrics run_workload(const FaultPlan& plan, const RetryPolicy& retry,
   auto dense =
       rt.lease_dense<std::uint64_t>("fi.dense", kKeys + 1, 0, Merge::kSum);
   auto sparse =
-      rt.lease_table<std::uint64_t, std::uint64_t>("fi.sparse", Merge::kSum);
+      rt.lease_dense<std::uint64_t>("fi.sparse", 2 * kKeys, 0, Merge::kSum);
   // Driver-side write outside any machine: lands in the overflow buffer and
   // must survive a failed first round's discard, committing exactly once.
   dense->put(kKeys, 1000);
@@ -74,13 +74,13 @@ WorkloadMetrics run_workload(const FaultPlan& plan, const RetryPolicy& retry,
     const std::uint64_t m = ctx.machine_id();
     for (std::uint64_t i = 0; i < kPerMachine; ++i) {
       const std::uint64_t k = m * kPerMachine + i;
-      sparse->put(kKeys + k, dense->get(k) + sparse->at(k));
+      sparse->put(kKeys + k, dense->get(k) + sparse->get(k));
     }
   });
   for (std::uint64_t k = 0; k < kKeys; ++k) {
     EXPECT_EQ(dense->raw(k), 3 * k + 1);
-    EXPECT_EQ(sparse->at(k), k ^ 0x5aa5ull);
-    EXPECT_EQ(sparse->at(kKeys + k), (3 * k + 1) + (k ^ 0x5aa5ull));
+    EXPECT_EQ(sparse->raw(k), k ^ 0x5aa5ull);
+    EXPECT_EQ(sparse->raw(kKeys + k), (3 * k + 1) + (k ^ 0x5aa5ull));
   }
   EXPECT_EQ(dense->raw(kKeys), 1000u);
   const Metrics& m = rt.metrics();

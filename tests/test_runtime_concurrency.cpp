@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "ampc/runtime.h"
 
@@ -17,9 +19,7 @@ namespace {
 
 // Everything observable about one workload run, for cross-pool comparison.
 struct Outcome {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> min_t, max_t, sum_t,
-      ovr_t;
-  std::vector<std::uint64_t> dense;
+  std::vector<std::uint64_t> min_t, max_t, sum_t, ovr_t, dense;
   std::uint64_t rounds = 0;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -30,13 +30,10 @@ struct Outcome {
   bool operator==(const Outcome&) const = default;
 };
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted_snapshot(
-    const Table<std::uint64_t, std::uint64_t>& t) {
-  auto snap = t.snapshot();
-  // repro-lint: allow(raw-sort) canonicalizes an unordered snapshot of
-  // distinct keys for comparison; pair self-order needs no tie-break
-  std::sort(snap.begin(), snap.end());
-  return snap;
+std::vector<std::uint64_t> contents(const DenseTable<std::uint64_t>& t) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < t.size(); ++i) out.push_back(t.raw(i));
+  return out;
 }
 
 // Two rounds over 256 machines — sixteen of the pool's 16-machine chunks,
@@ -46,10 +43,10 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted_snapshot(
 Outcome run_workload(ThreadPool& pool) {
   Config cfg = Config::for_problem(1 << 12, 0.5);
   Runtime rt(cfg, &pool);
-  Table<std::uint64_t, std::uint64_t> tmin(rt, "min", Merge::kMin);
-  Table<std::uint64_t, std::uint64_t> tmax(rt, "max", Merge::kMax);
-  Table<std::uint64_t, std::uint64_t> tsum(rt, "sum", Merge::kSum);
-  Table<std::uint64_t, std::uint64_t> tovr(rt, "ovr", Merge::kOverwrite);
+  DenseTable<std::uint64_t> tmin(rt, "min", 8, ~0ull, Merge::kMin);
+  DenseTable<std::uint64_t> tmax(rt, "max", 8, 0, Merge::kMax);
+  DenseTable<std::uint64_t> tsum(rt, "sum", 8, 0, Merge::kSum);
+  DenseTable<std::uint64_t> tovr(rt, "ovr", 7778, 0, Merge::kOverwrite);
   constexpr std::size_t kMachines = 256;
   DenseTable<std::uint64_t> dense(rt, "dense", 8 + kMachines, 5, Merge::kSum);
 
@@ -73,20 +70,18 @@ Outcome run_workload(ThreadPool& pool) {
   rt.round("phase2", kMachines, [&](MachineContext& ctx) {
     const auto m = static_cast<std::uint64_t>(ctx.machine_id());
     // Adaptive reads of phase-1 commits, then more merging writes.
-    const auto v = tsum.at(0);
+    const auto v = tsum.get(0);
     tsum.put(4, v % 97);
     tmin.put(2, 50 + m);
     dense.put(m % 4, 2);
   });
 
   Outcome out;
-  out.min_t = sorted_snapshot(tmin);
-  out.max_t = sorted_snapshot(tmax);
-  out.sum_t = sorted_snapshot(tsum);
-  out.ovr_t = sorted_snapshot(tovr);
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    out.dense.push_back(dense.raw(i));
-  }
+  out.min_t = contents(tmin);
+  out.max_t = contents(tmax);
+  out.sum_t = contents(tsum);
+  out.ovr_t = contents(tovr);
+  out.dense = contents(dense);
   const Metrics& m = rt.metrics();
   out.rounds = m.rounds;
   out.reads = m.dht_reads;
@@ -170,22 +165,22 @@ TEST(RuntimeConcurrency, RetainedStagingFollowsTheLastRound) {
 TEST(RuntimeConcurrency, OverwriteResolvesToHighestMachineId) {
   ThreadPool many(4);
   Runtime rt(Config::for_problem(1 << 12, 0.5), &many);
-  Table<std::uint64_t, std::uint64_t> t(rt, "ovr", Merge::kOverwrite);
+  DenseTable<std::uint64_t> t(rt, "ovr", 16);
   rt.round("race", 32, [&](MachineContext& ctx) {
     t.put(9, static_cast<std::uint64_t>(ctx.machine_id()));
   });
   // Buffers commit in machine-id order, so the last writer wins
   // deterministically — machine 31 here, regardless of thread schedule.
-  EXPECT_EQ(t.at(9), 31u);
+  EXPECT_EQ(t.raw(9), 31u);
 }
 
 TEST(RuntimeConcurrency, MergePoliciesThroughStagedPath) {
   ThreadPool many(4);
   Runtime rt(Config::for_problem(1 << 12, 0.5), &many);
-  Table<std::uint64_t, std::uint64_t> tmin(rt, "min", Merge::kMin);
-  Table<std::uint64_t, std::uint64_t> tmax(rt, "max", Merge::kMax);
-  Table<std::uint64_t, std::uint64_t> tsum(rt, "sum", Merge::kSum);
-  Table<std::uint64_t, std::uint64_t> tovr(rt, "ovr", Merge::kOverwrite);
+  DenseTable<std::uint64_t> tmin(rt, "min", 4, ~0ull, Merge::kMin);
+  DenseTable<std::uint64_t> tmax(rt, "max", 4, 0, Merge::kMax);
+  DenseTable<std::uint64_t> tsum(rt, "sum", 4, 0, Merge::kSum);
+  DenseTable<std::uint64_t> tovr(rt, "ovr", 4, 0, Merge::kOverwrite);
   rt.round("w", 8, [&](MachineContext& ctx) {
     const auto m = static_cast<std::uint64_t>(ctx.machine_id());
     tmin.put(1, 100 + m);
@@ -193,10 +188,10 @@ TEST(RuntimeConcurrency, MergePoliciesThroughStagedPath) {
     tsum.put(1, 1);
     tovr.put(1, m);
   });
-  EXPECT_EQ(tmin.at(1), 100u);
-  EXPECT_EQ(tmax.at(1), 107u);
-  EXPECT_EQ(tsum.at(1), 8u);
-  EXPECT_EQ(tovr.at(1), 7u);
+  EXPECT_EQ(tmin.raw(1), 100u);
+  EXPECT_EQ(tmax.raw(1), 107u);
+  EXPECT_EQ(tsum.raw(1), 8u);
+  EXPECT_EQ(tovr.raw(1), 7u);
 }
 
 TEST(RuntimeConcurrency, LargeRoundTakesParallelCommitPath) {
@@ -207,14 +202,14 @@ TEST(RuntimeConcurrency, LargeRoundTakesParallelCommitPath) {
     Config cfg = Config::for_problem(kItems, 0.5);
     Runtime rt(cfg, &pool);
     DenseTable<std::uint64_t> d(rt, "d", kItems, 0, Merge::kSum);
-    Table<std::uint64_t, std::uint64_t> t(rt, "t", Merge::kMin, 8);
+    DenseTable<std::uint64_t> t(rt, "t", 1024, ~0ull, Merge::kMin);
     rt.round_over_items("bulk", kItems, [&](MachineContext&, std::uint64_t i) {
       d.put(i, i * 3 + 1);
       t.put(i % 1024, i);
     });
     std::vector<std::uint64_t> out;
     for (std::uint64_t i = 0; i < kItems; ++i) out.push_back(d.raw(i));
-    for (std::uint64_t k = 0; k < 1024; ++k) out.push_back(t.at(k));
+    for (std::uint64_t k = 0; k < 1024; ++k) out.push_back(t.raw(k));
     out.push_back(rt.metrics().dht_writes);
     out.push_back(rt.metrics().peak_table_words);
     return out;
@@ -225,8 +220,8 @@ TEST(RuntimeConcurrency, LargeRoundTakesParallelCommitPath) {
 }
 
 // Shared-key contents after one round in which 16 machines each write every
-// shared key twice, under kOverwrite, kMin and kSum, into a DenseTable and a
-// Table each. `pad` disjoint-key writes per table ride along: with pad 0 the
+// shared key twice, under kOverwrite, kMin and kSum, into one DenseTable
+// each. `pad` disjoint-key writes per table ride along: with pad 0 the
 // round stages under the runtime's 4096-entry parallel-commit threshold (the
 // serial walk), with pad 8192 over it (the two-phase shard commit).
 std::vector<std::uint64_t> shared_key_commits(ThreadPool& pool,
@@ -235,13 +230,10 @@ std::vector<std::uint64_t> shared_key_commits(ThreadPool& pool,
   constexpr std::size_t kMachines = 16;
   Runtime rt(Config::for_problem(1 << 14, 0.5), &pool);
   std::vector<std::unique_ptr<DenseTable<std::uint64_t>>> dense;
-  std::vector<std::unique_ptr<Table<std::uint64_t, std::uint64_t>>> hashed;
   for (const Merge p : {Merge::kOverwrite, Merge::kMin, Merge::kSum}) {
     const std::uint64_t init = p == Merge::kMin ? ~0ull : 0;
     dense.push_back(std::make_unique<DenseTable<std::uint64_t>>(
         rt, "d", kShared + pad, init, p));
-    hashed.push_back(
-        std::make_unique<Table<std::uint64_t, std::uint64_t>>(rt, "t", p));
   }
   const std::uint64_t pad_per = ceil_div(pad, kMachines);
   rt.round("commit", kMachines, [&](MachineContext& ctx) {
@@ -250,20 +242,17 @@ std::vector<std::uint64_t> shared_key_commits(ThreadPool& pool,
       for (std::uint64_t k = 0; k < kShared; ++k) {
         const std::uint64_t v = (m * 7 + k * 3 + rep * 5) % 23 + 1;
         for (auto& t : dense) t->put(k, v);
-        for (auto& t : hashed) t->put(k, v);
       }
     }
     for (std::uint64_t j = m * pad_per; j < std::min(pad, (m + 1) * pad_per);
          ++j) {
       for (auto& t : dense) t->put(kShared + j, j);
-      for (auto& t : hashed) t->put(kShared + j, j);
     }
   });
   std::vector<std::uint64_t> out;
   for (std::size_t p = 0; p < dense.size(); ++p) {
     for (std::uint64_t k = 0; k < kShared; ++k) {
       out.push_back(dense[p]->raw(k));
-      out.push_back(hashed[p]->at(k));
     }
   }
   return out;
@@ -284,9 +273,7 @@ TEST(RuntimeConcurrency, SerialAndTwoPhaseCommitAgree) {
           sum += last;
         }
       }
-      const std::uint64_t v = p == 0 ? last : (p == 1 ? lo : sum);
-      want.push_back(v);  // DenseTable
-      want.push_back(v);  // Table
+      want.push_back(p == 0 ? last : (p == 1 ? lo : sum));
     }
   }
   ThreadPool one(1);
@@ -324,7 +311,7 @@ TEST(RuntimeConcurrency, DriverWritesCommitLastEvenWhenRoundsGrow) {
   // whatever the round's machine count.
   ThreadPool many(4);
   Runtime rt(Config::for_problem(1 << 12, 0.5), &many);
-  Table<std::uint64_t, std::uint64_t> t(rt, "ovr", Merge::kOverwrite);
+  DenseTable<std::uint64_t> t(rt, "ovr", 128);
   rt.round("small", 4, [&](MachineContext& ctx) {
     t.put(100 + ctx.machine_id(), 1);
   });
@@ -332,7 +319,7 @@ TEST(RuntimeConcurrency, DriverWritesCommitLastEvenWhenRoundsGrow) {
   rt.round("grown", 8, [&](MachineContext& ctx) {
     t.put(5, static_cast<std::uint64_t>(ctx.machine_id()));
   });
-  EXPECT_EQ(t.at(5), 999u);  // driver write wins: overflow commits last
+  EXPECT_EQ(t.raw(5), 999u);  // driver write wins: overflow commits last
 }
 
 TEST(RuntimeConcurrency, TableRegisteredMidRoundStagesCorrectly) {

@@ -6,8 +6,6 @@
 // make runtime reuse indistinguishable from fresh construction.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "ampc/runtime.h"
 #include "ampc_algo/singleton_ampc.h"
 #include "graph/generators.h"
@@ -37,30 +35,20 @@ TEST(TablePool, DenseLeaseReturnsClearedCorrectlySizedStorage) {
   // Shrinking re-lease is just as clean, including a non-uniform init value
   // (exercises the assign fallback next to the memset fast path).
   t2.release();
-  auto t3 = rt.lease_dense<std::uint64_t>("third", 4, 0x0102030405060708ull);
+  auto t3 = rt.lease_dense<std::uint64_t>("third", 4, 0x0102030405060708ull,
+                                          Merge::kSum);
   ASSERT_EQ(t3->size(), 4u);
   for (std::uint64_t i = 0; i < 4; ++i) {
     EXPECT_EQ(t3->raw(i), 0x0102030405060708ull);
   }
-}
-
-TEST(TablePool, HashLeaseReturnsEmptyStorageWithNewPolicy) {
-  Runtime rt(Config::for_problem(1 << 10, 0.5));
-  {
-    auto t = rt.lease_table<std::uint64_t, std::uint64_t>("sum", Merge::kSum);
-    t->seed(1, 10);
-    rt.round("w", 4, [&](MachineContext&) { t->put(1, 1); });
-    EXPECT_EQ(t->at(1), 14u);
-  }
-  auto t2 = rt.lease_table<std::uint64_t, std::uint64_t>("min", Merge::kMin);
-  EXPECT_EQ(rt.pool_stats().reuses, 1u);
-  EXPECT_EQ(t2->size(), 0u);
-  EXPECT_FALSE(t2->contains(1));
   // The reset policy (kMin) governs, not the previous tenant's kSum.
-  rt.round("w2", 4, [&](MachineContext& ctx) {
-    t2->put(5, 100 + ctx.machine_id());
+  t3.release();
+  auto t4 = rt.lease_dense<std::uint64_t>("fourth", 8, ~0ull, Merge::kMin);
+  EXPECT_EQ(rt.pool_stats().reuses, 3u);
+  rt.round("w", 4, [&](MachineContext& ctx) {
+    t4->put(5, 100 + ctx.machine_id());
   });
-  EXPECT_EQ(t2->at(5), 100u);
+  EXPECT_EQ(t4->raw(5), 100u);
 }
 
 TEST(TablePool, PoolIsKeyedByConcreteType) {
@@ -75,9 +63,7 @@ TEST(TablePool, PoolIsKeyedByConcreteType) {
 // Everything observable about one workload run — committed contents of all
 // four merge policies plus every metric the benches quote.
 struct Outcome {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> min_t, max_t, sum_t,
-      ovr_t;
-  std::vector<std::uint64_t> dense;
+  std::vector<std::uint64_t> min_t, max_t, sum_t, ovr_t, dense;
   std::uint64_t rounds = 0;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -113,27 +99,23 @@ Outcome run_workload(Runtime& rt, MakeTables&& make) {
   tovr->put(7777, 42);  // driver-side overflow write
   rt.round("phase2", kMachines, [&](MachineContext& ctx) {
     const auto m = static_cast<std::uint64_t>(ctx.machine_id());
-    const auto v = tsum->at(0);
+    const auto v = tsum->get(0);
     tsum->put(4, v % 97);
     tmin->put(2, 50 + m);
     dense->put(m % 4, 2);
   });
 
-  const auto sorted_snapshot = [](const auto& t) {
-    auto snap = t->snapshot();
-    // repro-lint: allow(raw-sort) canonicalizes an unordered snapshot of
-    // distinct keys for comparison; pair self-order needs no tie-break
-    std::sort(snap.begin(), snap.end());
-    return snap;
+  const auto contents = [](const auto& t) {
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < t->size(); ++i) out.push_back(t->raw(i));
+    return out;
   };
   Outcome out;
-  out.min_t = sorted_snapshot(tmin);
-  out.max_t = sorted_snapshot(tmax);
-  out.sum_t = sorted_snapshot(tsum);
-  out.ovr_t = sorted_snapshot(tovr);
-  for (std::size_t i = 0; i < dense->size(); ++i) {
-    out.dense.push_back(dense->raw(i));
-  }
+  out.min_t = contents(tmin);
+  out.max_t = contents(tmax);
+  out.sum_t = contents(tsum);
+  out.ovr_t = contents(tovr);
+  out.dense = contents(dense);
   const Metrics& m = rt.metrics();
   out.rounds = m.rounds;
   out.reads = m.dht_reads;
@@ -147,25 +129,20 @@ Outcome run_workload(Runtime& rt, MakeTables&& make) {
 // Direct construction: the pre-pool way tables came to exist. unique_ptr so
 // the tuple is movable and -> works like the lease.
 auto make_fresh(Runtime& rt) {
-  return std::tuple(
-      std::make_unique<Table<std::uint64_t, std::uint64_t>>(rt, "min",
-                                                            Merge::kMin),
-      std::make_unique<Table<std::uint64_t, std::uint64_t>>(rt, "max",
-                                                            Merge::kMax),
-      std::make_unique<Table<std::uint64_t, std::uint64_t>>(rt, "sum",
-                                                            Merge::kSum),
-      std::make_unique<Table<std::uint64_t, std::uint64_t>>(rt, "ovr",
-                                                            Merge::kOverwrite),
-      std::make_unique<DenseTable<std::uint64_t>>(rt, "dense", 64, 5,
-                                                  Merge::kSum));
+  using T = DenseTable<std::uint64_t>;
+  return std::tuple(std::make_unique<T>(rt, "min", 8, ~0ull, Merge::kMin),
+                    std::make_unique<T>(rt, "max", 8, 0, Merge::kMax),
+                    std::make_unique<T>(rt, "sum", 8, 0, Merge::kSum),
+                    std::make_unique<T>(rt, "ovr", 7778, 0, Merge::kOverwrite),
+                    std::make_unique<T>(rt, "dense", 64, 5, Merge::kSum));
 }
 
 auto make_leased(Runtime& rt) {
   return std::tuple(
-      rt.lease_table<std::uint64_t, std::uint64_t>("min", Merge::kMin),
-      rt.lease_table<std::uint64_t, std::uint64_t>("max", Merge::kMax),
-      rt.lease_table<std::uint64_t, std::uint64_t>("sum", Merge::kSum),
-      rt.lease_table<std::uint64_t, std::uint64_t>("ovr", Merge::kOverwrite),
+      rt.lease_dense<std::uint64_t>("min", 8, ~0ull, Merge::kMin),
+      rt.lease_dense<std::uint64_t>("max", 8, 0, Merge::kMax),
+      rt.lease_dense<std::uint64_t>("sum", 8, 0, Merge::kSum),
+      rt.lease_dense<std::uint64_t>("ovr", 7778, 0, Merge::kOverwrite),
       rt.lease_dense<std::uint64_t>("dense", 64, 5, Merge::kSum));
 }
 
@@ -248,7 +225,7 @@ TEST(TablePool, PoolStatsCountLiveAndPooledBytes) {
     int i = 0;
     for (Runtime* rt : {&*a, &*b}) {
       auto d = rt->lease_dense<std::uint64_t>("d", 1000, 0);
-      auto t = rt->lease_table<std::uint64_t, std::uint64_t>("t");
+      auto t = rt->lease_dense<std::uint64_t>("t", 8);
       rt->round("w", 8, [&](MachineContext& ctx) {
         d->put(ctx.machine_id(), 1);
         t->put(ctx.machine_id(), 1);
