@@ -107,60 +107,6 @@ void bench_table_lease_reuse(Harness& h, std::uint64_t n) {
   h.record(std::move(r), n);
 }
 
-// Recovery-overhead pricing (DESIGN.md "Fault injection & round-level
-// recovery"): one op is a full round staging n/8 puts per machine across 8
-// machines plus the barrier commit, normalized per put. ns_per_op is the
-// 5%-crash-rate run (discard + replay on every injected failure, fixed
-// seed); extra carries the fault-free ns/op and retry_overhead_ratio =
-// faulted/clean, the trajectory's headline number for what recovery costs
-// when the failure path actually executes. 8 machines at 5% gives ~34% of
-// rounds at least one crash (expected attempts ~1.5), so the ratio prices
-// real replays, not an idle injector.
-void bench_fault_recovery(Harness& h, std::uint64_t n) {
-  constexpr std::uint64_t kMachines = 8;
-  const std::uint64_t per = n / kMachines;
-  const auto round_body = [per](ampc::Runtime& rt,
-                                ampc::DenseTable<std::uint64_t>& t,
-                                std::uint64_t salt) {
-    rt.round("bench.fault", kMachines, [&](ampc::MachineContext& ctx) {
-      const std::uint64_t base = ctx.machine_id() * per;
-      for (std::uint64_t i = 0; i < per; ++i) t.put(base + i, base + i + salt);
-    });
-  };
-  ampc::Runtime clean_rt(ampc::Config::for_problem(n, 0.5));
-  ampc::DenseTable<std::uint64_t> clean_t(clean_rt, "bench.fault", n);
-  std::uint64_t salt = 0;
-  const Timed clean = run_timed(n, h.topt, [&] {
-    round_body(clean_rt, clean_t, ++salt);
-  });
-
-  ampc::Config fcfg = ampc::Config::for_problem(n, 0.5);
-  fcfg.fault.seed = 31;
-  fcfg.fault.crash_rate = 0.05;
-  fcfg.retry.max_attempts = 20;  // 0.34^20: exhaustion never trips the timer
-  ampc::Runtime fault_rt(fcfg);
-  ampc::DenseTable<std::uint64_t> fault_t(fault_rt, "bench.fault", n);
-  salt = 0;
-  const Timed faulted = run_timed(n, h.topt, [&] {
-    round_body(fault_rt, fault_t, ++salt);
-  });
-
-  BenchResult r;
-  r.name = "fault_recovery";
-  r.ns_per_op = faulted.ns_per_op;
-  r.iterations = faulted.iterations;
-  r.extra["clean_ns_per_op"] = clean.ns_per_op;
-  r.extra["retry_overhead_ratio"] =
-      faulted.ns_per_op / std::max(1e-9, clean.ns_per_op);
-  // Model costs of one fault-free round (the contract: recovery never
-  // changes them), from a fresh instrumented runtime.
-  ampc::Runtime mrt(ampc::Config::for_problem(n, 0.5));
-  ampc::DenseTable<std::uint64_t> mt(mrt, "bench.fault", n);
-  round_body(mrt, mt, 1);
-  fill_model_metrics(r, mrt.metrics());
-  h.record(std::move(r), n);
-}
-
 void bench_list_rank(Harness& h, std::uint64_t n) {
   std::vector<std::uint64_t> next(n, ampc::kNoNext);
   std::vector<std::uint64_t> order(n);
@@ -330,14 +276,6 @@ int main(int argc, char** argv) {
           : std::vector<std::uint64_t>{1 << 14, 1 << 16};
   for (const std::uint64_t n : put_sizes) {
     bench_dense_put_commit(h, n);
-  }
-  // Recovery overhead at a nonzero injected crash rate (BENCHMARKS.md
-  // "fault recovery").
-  for (const std::uint64_t n : mode == Mode::kSmoke
-                                   ? std::vector<std::uint64_t>{1 << 14}
-                                   : std::vector<std::uint64_t>{1 << 14,
-                                                                1 << 16}) {
-    bench_fault_recovery(h, n);
   }
   // Table-lifecycle fixed costs (the pool's target regime is small tables:
   // k-cut components, list-ranking levels).

@@ -3,8 +3,6 @@
 #include <string_view>
 #include <utility>
 
-#include "support/rng.h"
-
 namespace ampccut::ampc {
 
 thread_local MachineContext* MachineContext::current_ = nullptr;
@@ -19,11 +17,7 @@ constexpr std::uint64_t kParallelCommitThreshold = 4096;
 
 Runtime::Runtime(Config cfg, ThreadPool* pool)
     : cfg_(std::move(cfg)),
-      pool_(pool != nullptr ? *pool : ThreadPool::shared()) {
-  if (cfg_.fault.enabled()) {
-    injector_ = std::make_unique<FaultInjector>(cfg_.fault);
-  }
-}
+      pool_(pool != nullptr ? *pool : ThreadPool::shared()) {}
 
 namespace {
 
@@ -44,122 +38,47 @@ void Runtime::round(const char* label, std::size_t num_machines,
                     const std::function<void(MachineContext&)>& body) {
   ++metrics_.rounds;
   bump_label(metrics_.rounds_by_label, label, 1);
-  // Stable round coordinate for fault scheduling: retries of one logical
-  // round share it (the attempt index separates their rng draws).
-  const std::uint64_t round_index = metrics_.rounds - 1;
-  const std::uint32_t max_attempts =
-      std::max<std::uint32_t>(1, cfg_.retry.max_attempts);
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    fault_round_ = round_index;
-    fault_attempt_ = attempt;
-    // Round-local accumulators, folded into metrics_ only when the attempt
-    // succeeds — a replayed round contributes its traffic exactly once, so
-    // a recovered run's metrics are bit-identical to the fault-free run.
-    std::atomic<std::uint64_t> reads{0};
-    std::atomic<std::uint64_t> writes{0};
-    std::atomic<std::uint64_t> max_machine_traffic{0};
-    std::atomic<std::uint64_t> violations{0};
-    try {
-      pool_.parallel_for(num_machines, [&](std::size_t machine) {
-        MachineContext ctx(machine, pool_.worker_index());
-        MachineContext::ScopedActivation scope(ctx);
-        try {
-          if (injector_ != nullptr) machine_entry_faults(ctx);
-          body(ctx);
-        } catch (const MachineFailedError&) {
-          // Counted here (not at the throw site) so body-thrown failures
-          // count too.
-          metrics_.machine_failures.fetch_add(1, std::memory_order_relaxed);
-          throw;
-        }
-        // Fold this machine's traffic and enforce the local-memory budget.
-        reads.fetch_add(ctx.reads(), std::memory_order_relaxed);
-        writes.fetch_add(ctx.writes(), std::memory_order_relaxed);
-        const std::uint64_t total = ctx.reads() + ctx.writes();
-        std::uint64_t seen =
-            max_machine_traffic.load(std::memory_order_relaxed);
-        while (seen < total && !max_machine_traffic.compare_exchange_weak(
-                                   seen, total, std::memory_order_relaxed)) {
-        }
-        if (cfg_.enforce_local_memory && total > cfg_.machine_memory_words) {
-          if (cfg_.strict_budget) {
-            throw BudgetExceededError(label, machine, total,
-                                      cfg_.machine_memory_words);
-          }
-          violations.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    } catch (const MachineFailedError& e) {
-      // Transient failure: committed tables are untouched by construction
-      // (frozen reads; writes only staged), so dropping the staging and
-      // replaying the round reproduces the unfailed execution exactly.
-      discard_machine_staging();
-      if (attempt + 1 >= max_attempts) {
-        throw RetriesExhaustedError(label, round_index, max_attempts,
-                                    e.what());
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> writes{0};
+  std::atomic<std::uint64_t> max_machine_traffic{0};
+  std::atomic<std::uint64_t> violations{0};
+  try {
+    pool_.parallel_for(num_machines, [&](std::size_t machine) {
+      MachineContext ctx(machine, pool_.worker_index());
+      MachineContext::ScopedActivation scope(ctx);
+      body(ctx);
+      // Fold this machine's traffic and enforce the local-memory budget.
+      reads.fetch_add(ctx.reads(), std::memory_order_relaxed);
+      writes.fetch_add(ctx.writes(), std::memory_order_relaxed);
+      const std::uint64_t total = ctx.reads() + ctx.writes();
+      std::uint64_t seen = max_machine_traffic.load(std::memory_order_relaxed);
+      while (seen < total && !max_machine_traffic.compare_exchange_weak(
+                                 seen, total, std::memory_order_relaxed)) {
       }
-      ++metrics_.rounds_retried;
-      if (cfg_.retry.backoff_spin != 0) {
-        fault_delay_spin(splitmix64(round_index ^ (attempt + 1)),
-                         cfg_.retry.backoff_spin);
+      if (cfg_.enforce_local_memory && total > cfg_.machine_memory_words) {
+        if (cfg_.strict_budget) {
+          throw BudgetExceededError(label, machine, total,
+                                    cfg_.machine_memory_words);
+        }
+        violations.fetch_add(1, std::memory_order_relaxed);
       }
-      continue;
-    } catch (...) {
-      // Non-retryable (BudgetExceededError is deterministic; REPRO_CHECK
-      // and user exceptions indicate bugs): clear the staging so the
-      // runtime stays reusable, then surface the error unchanged.
-      discard_machine_staging();
-      throw;
-    }
-    metrics_.dht_reads += reads.load();
-    metrics_.dht_writes += writes.load();
-    metrics_.max_machine_traffic =
-        std::max(metrics_.max_machine_traffic, max_machine_traffic.load());
-    metrics_.budget_violations.fetch_add(violations.load(),
-                                         std::memory_order_relaxed);
-    // Commit all staged table writes at the round barrier (AMPC semantics:
-    // writes become visible in the next round's hash table).
-    commit_all();
-    return;
+    });
+  } catch (...) {
+    // BudgetExceededError is deterministic; REPRO_CHECK and user exceptions
+    // indicate bugs. Clear the staging so the runtime stays reusable, then
+    // surface the error unchanged.
+    discard_machine_staging();
+    throw;
   }
-}
-
-// The three injection sites. Decisions are pure in (round, machine,
-// attempt); a positive one throws MachineFailedError, which the machine
-// wrapper counts and the barrier's retry loop recovers from. The injected
-// counter bumps even on attempts whose staging is later discarded — faults
-// happened, only their effects were rolled back.
-void Runtime::machine_entry_faults(MachineContext& ctx) {
-  const std::uint64_t machine = ctx.machine_id();
-  if (injector_->fires(FaultKind::kSlowMachine, fault_round_, machine,
-                       fault_attempt_)) {
-    metrics_.faults_injected.fetch_add(1, std::memory_order_relaxed);
-    fault_delay_spin(splitmix64(fault_round_ ^ (machine * 2 + 1)),
-                     injector_->plan().delay_spin);
-  }
-  if (injector_->fires(FaultKind::kMachineCrash, fault_round_, machine,
-                       fault_attempt_)) {
-    metrics_.faults_injected.fetch_add(1, std::memory_order_relaxed);
-    throw MachineFailedError(fault_round_, machine, "injected machine crash");
-  }
-}
-
-void Runtime::fault_read_slow(MachineContext& ctx) {
-  if (injector_->fires(FaultKind::kTableReadFail, fault_round_,
-                       ctx.machine_id(), fault_attempt_)) {
-    metrics_.faults_injected.fetch_add(1, std::memory_order_relaxed);
-    throw MachineFailedError(fault_round_, ctx.machine_id(),
-                             "injected table-read failure");
-  }
-}
-
-void Runtime::fault_write_slow(MachineContext& ctx) {
-  if (injector_->fires(FaultKind::kStagedWriteLoss, fault_round_,
-                       ctx.machine_id(), fault_attempt_)) {
-    metrics_.faults_injected.fetch_add(1, std::memory_order_relaxed);
-    throw MachineFailedError(fault_round_, ctx.machine_id(),
-                             "injected staged-write loss");
-  }
+  metrics_.dht_reads += reads.load();
+  metrics_.dht_writes += writes.load();
+  metrics_.max_machine_traffic =
+      std::max(metrics_.max_machine_traffic, max_machine_traffic.load());
+  metrics_.budget_violations.fetch_add(violations.load(),
+                                       std::memory_order_relaxed);
+  // Commit all staged table writes at the round barrier (AMPC semantics:
+  // writes become visible in the next round's hash table).
+  commit_all();
 }
 
 void Runtime::discard_machine_staging() {
@@ -220,12 +139,6 @@ void Runtime::reset_for_subproblem(const Config& cfg) {
   }
   cfg_ = cfg;
   metrics_.reset();
-  // Rebuild the injector from the new plan; the next subproblem's fault
-  // schedule restarts at round 0 exactly as a fresh Runtime's would.
-  injector_.reset();
-  if (cfg_.fault.enabled()) {
-    injector_ = std::make_unique<FaultInjector>(cfg_.fault);
-  }
 }
 
 void Runtime::commit_all() {

@@ -31,14 +31,14 @@
 // ever touched between rounds. After the commit a log keeps at most twice
 // the round's staged entries of capacity.
 //
-// Failure semantics (DESIGN.md "Fault injection & round-level recovery"): a
-// machine that throws MachineFailedError — injected by Config::fault or
-// thrown by the body — fails only its round. The barrier discards the
-// round's machine staging logs (committed state is untouched by
-// construction) and replays the round under Config::retry; past
-// max_attempts, RetriesExhaustedError surfaces. Any other exception also
-// leaves the runtime reusable: staging cleared, leases releasable,
-// reset_for_subproblem legal.
+// Failure semantics: every round runs exactly once, and nothing replays it.
+// A machine that throws — BudgetExceededError under Config::strict_budget,
+// a REPRO_CHECK, a user exception — fails the round: the barrier discards
+// the round's machine staging logs (committed state is untouched by
+// construction) and rethrows, leaving the runtime reusable: staging
+// cleared, leases releasable, reset_for_subproblem legal. Because no round
+// replays, a body may stream side outputs into per-participant logs of its
+// own (indexed by MachineContext::slot) as it would into staging.
 //
 // Metrics separate *measured* rounds (what the simulator executed) from
 // *charged* rounds (published costs of cited primitives — see DESIGN.md
@@ -60,7 +60,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ampc/fault.h"
 #include "support/bits.h"
 #include "support/check.h"
 #include "support/errors.h"
@@ -73,6 +72,11 @@ namespace ampccut::ampc {
 // process. The type exists only for the inert Config::transport field.
 enum class TransportKind : std::uint8_t { kLocal };
 
+// The library has no fault injection and no round replay. These empty types
+// exist only for the inert Config::fault / Config::retry fields.
+struct FaultPlan {};
+struct RetryPolicy {};
+
 struct Config {
   double eps = 0.5;                 // machine memory exponent
   std::uint64_t problem_size = 0;   // N = n + m; machine memory = N^eps
@@ -80,16 +84,16 @@ struct Config {
   bool enforce_local_memory = true;  // count (or, strict, throw on) violations
   // Strict budget mode: a machine whose round traffic exceeds
   // machine_memory_words throws BudgetExceededError instead of bumping the
-  // violation counter. Deterministic, so the barrier never retries it — the
-  // algorithm layer catches it and degrades (mincut_ampc.h).
+  // violation counter. Deterministic: the algorithm layer catches it and
+  // degrades (mincut_ampc.h).
   bool strict_budget = false;
   // Unread: kept only because cutbench/src/solve_rings.cpp still assigns it.
   TransportKind transport = TransportKind::kLocal;
   // Unread: kept only because cutbench/src/solve_rings.cpp still assigns it.
   std::uint32_t num_processes = 2;
-  // Deterministic fault injection + bounded round-level recovery (fault.h).
-  // Default plan is empty: all hooks compile down to one null check.
+  // Unread: kept only because cutbench/src/solve_rings.cpp still assigns it.
   FaultPlan fault;
+  // Unread: kept only because cutbench/src/solve_rings.cpp still assigns it.
   RetryPolicy retry;
 
   static Config for_problem(std::uint64_t n_plus_m, double eps = 0.5) {
@@ -116,14 +120,6 @@ struct Metrics {
   std::uint64_t max_machine_traffic = 0;  // per machine per round
   std::uint64_t peak_table_words = 0;     // total-memory proxy
   std::atomic<std::uint64_t> budget_violations{0};
-  // Robustness counters (fault.h). Injected faults and machine failures are
-  // recorded as they happen — including on attempts whose staging is later
-  // discarded — while rounds_retried counts the extra (replay) executions.
-  // Everything above this comment is bit-identical between a faulted run
-  // whose retries succeed and the fault-free run.
-  std::uint64_t rounds_retried = 0;
-  std::atomic<std::uint64_t> faults_injected{0};
-  std::atomic<std::uint64_t> machine_failures{0};
   // Transparent comparators: the per-round bump looks labels up by const
   // char* without materializing a std::string (rounds are fine-grained
   // enough that the temporary showed up in profiles).
@@ -144,9 +140,6 @@ struct Metrics {
     max_machine_traffic = 0;
     peak_table_words = 0;
     budget_violations.store(0, std::memory_order_relaxed);
-    rounds_retried = 0;
-    faults_injected.store(0, std::memory_order_relaxed);
-    machine_failures.store(0, std::memory_order_relaxed);
     rounds_by_label.clear();
     charged_by_label.clear();
   }
@@ -189,10 +182,10 @@ class TableBase {
   [[nodiscard]] virtual std::uint64_t staging_bytes() const = 0;
   [[nodiscard]] virtual std::uint64_t storage_bytes() const = 0;
 
-  // Round-level recovery (driver thread, after a failed round's barrier):
-  // drop every machine staging log without applying it, leaving committed
-  // contents untouched. The driver-side overflow log survives — it was
-  // staged outside the failed round and must still commit with the retry.
+  // After a failed round (driver thread): drop every machine staging log
+  // without applying it, leaving committed contents untouched. The
+  // driver-side overflow log survives — it was staged outside the failed
+  // round and commits with the next one.
   virtual void discard_machine_staged() = 0;
 
   // Serial commit of an already-sealed table (small rounds): one walk that
@@ -331,16 +324,6 @@ class Runtime {
   // Driver thread, between rounds.
   [[nodiscard]] PoolStats pool_stats() const;
 
-  // --- Fault-injection hooks (fault.h) ------------------------------------
-  // Called by DenseTable on the read and put paths while a machine context
-  // is active; one predictable null check when no plan is installed.
-  void fault_point_read(MachineContext& ctx) {
-    if (injector_ != nullptr) fault_read_slow(ctx);
-  }
-  void fault_point_write(MachineContext& ctx) {
-    if (injector_ != nullptr) fault_write_slow(ctx);
-  }
-
  private:
   template <class T>
   friend class TableLease;
@@ -364,21 +347,11 @@ class Runtime {
 
   void release_leased(std::unique_ptr<detail::TableBase> table);
 
-  // Fault slow paths and the recovery helper (runtime.cpp).
-  void fault_read_slow(MachineContext& ctx);
-  void fault_write_slow(MachineContext& ctx);
-  void machine_entry_faults(MachineContext& ctx);
   void discard_machine_staging();
 
   Config cfg_;
   Metrics metrics_;
   ThreadPool& pool_;
-  // Installed when cfg_.fault.enabled(); decisions read fault_round_ /
-  // fault_attempt_, which only the driver writes (between pool barriers, so
-  // the batch hand-off publishes them to the workers).
-  std::unique_ptr<FaultInjector> injector_;
-  std::uint64_t fault_round_ = 0;
-  std::uint32_t fault_attempt_ = 0;
   mutable std::mutex tables_mu_;
   std::vector<detail::TableBase*> tables_;  // guarded by tables_mu_
   // Pooled (currently unleased) tables by concrete type. Declared after
@@ -463,7 +436,6 @@ class DenseTable final : public detail::TableBase {
   // algorithm layer read through this (DESIGN.md "Counted reads").
   V get(MachineContext& ctx, std::uint64_t i) const {
     REPRO_DCHECK(i < data_.size());
-    rt_.fault_point_read(ctx);
     ctx.count_read(kWords);
     return data_[i];
   }
@@ -480,7 +452,6 @@ class DenseTable final : public detail::TableBase {
     REPRO_DCHECK(i < data_.size());
     const auto shard = static_cast<std::uint32_t>(i / shard_size_);
     if (auto* ctx = MachineContext::current()) {
-      rt_.fault_point_write(*ctx);
       ctx->count_write(kWords);
       REPRO_DCHECK(ctx->slot() < overflow_slot());
       REPRO_DCHECK(ctx->machine_id() < kNoMachine);
@@ -645,7 +616,7 @@ class DenseTable final : public detail::TableBase {
   }
 
   void discard_machine_staged() override {
-    // Every log but the overflow log (the last), which stays for the retry.
+    // Every log but the overflow log (the last), which commits next round.
     for (std::size_t i = 0; i + 1 < logs_.size(); ++i) {
       logs_[i].entries.clear();
     }

@@ -46,9 +46,6 @@ AmpcKCutReport ampc_apx_split_k_cut(const WGraph& g, std::uint32_t k,
           std::lock_guard<std::mutex> lock(mu);
           iter_measured = std::max(iter_measured, sub.measured_rounds);
           iter_charged = std::max(iter_charged, sub.charged_rounds);
-          report.faults_injected += sub.faults_injected;
-          report.machine_failures += sub.machine_failures;
-          report.rounds_retried += sub.rounds_retried;
           report.budget_degradations += sub.budget_degradations;
         }
         return MinCutResult{sub.weight, sub.side};

@@ -28,11 +28,8 @@ struct AmpcKCutReport {
   std::uint64_t measured_rounds = 0;
   std::uint64_t charged_rounds = 0;
 
-  // Robustness counters summed over every component min-cut call
-  // (mincut_ampc.h); excluded from the bit-identity contract.
-  std::uint64_t faults_injected = 0;
-  std::uint64_t machine_failures = 0;
-  std::uint64_t rounds_retried = 0;
+  // Strict-budget reruns summed over every component min-cut call
+  // (mincut_ampc.h).
   std::uint64_t budget_degradations = 0;
 
   [[nodiscard]] std::uint64_t model_rounds() const {

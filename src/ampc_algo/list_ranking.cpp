@@ -212,6 +212,9 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
     const Level& coarse = levels[li + 1];
     const std::uint64_t n = fine.next.size();
     constexpr std::int64_t kUnset = std::numeric_limits<std::int64_t>::min();
+    // The walks' next and value tables: the model reads them, so they stay
+    // leased and seeded (peak_table_words counts them), but the host
+    // evaluates the walks from the level's own arrays (below).
     auto t_next = rt.lease_dense<std::uint64_t>("lr.x.next", n);
     ValueTables t_val(rt, "lr.x.val", fine.value);
     auto t_known = rt.lease_dense<std::uint8_t>("lr.x.known", n, 0);
@@ -227,31 +230,52 @@ std::vector<std::vector<std::int64_t>> list_rank_multi(
         t_rank_s[c]->seed(coarse.to_prev[d], coarse.value[c][d]);
       }
     }
+    // rank(i) = values i..pred(s) + rank(s) for the next known s. In the
+    // model each unknown element walks there itself: it reads known(i),
+    // value(i) and next(i), the same k + 2 words at every unknown element
+    // on the way, and known(s) plus rank(s) at the end. The walks of one
+    // segment (the unknown run before s) overlap, so they are evaluated
+    // once per segment here, over the frozen level arrays, and each body
+    // counts its own walk's words (DESIGN.md "Counted reads", rule 3).
+    std::vector<Acc> walk_rank(n);
+    std::vector<std::uint64_t> walk_words(n, 0);  // 0 = not yet evaluated
+    {
+      std::vector<std::uint64_t> run;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        if (t_known->raw(i) || walk_words[i] != 0) continue;
+        std::uint64_t j = i;
+        for (; j != kNoNext && !t_known->raw(j) && walk_words[j] == 0;
+             j = fine.next[j]) {
+          run.push_back(j);
+        }
+        Acc acc{};
+        std::uint64_t words = 0;
+        if (j != kNoNext && t_known->raw(j)) {
+          for (std::size_t c = 0; c < k; ++c) acc[c] = t_rank_s[c]->raw(j);
+          words = k + 1;
+        } else if (j != kNoNext) {
+          acc = walk_rank[j];
+          words = walk_words[j];
+        }
+        for (; !run.empty(); run.pop_back()) {
+          const std::uint64_t r = run.back();
+          for (std::size_t c = 0; c < k; ++c) acc[c] += fine.value[c][r];
+          words += k + 2;
+          walk_rank[r] = acc;
+          walk_words[r] = words;
+        }
+      }
+    }
     rt.round_over_items("list_rank.expand", n,
                         [&](MachineContext& ctx, std::uint64_t i) {
-      // rank(i) = values i..pred(s) + rank(s) for the next sampled s.
       if (t_known->get(ctx, i)) {
         for (std::size_t c = 0; c < k; ++c) {
           t_rank[c]->put(i, t_rank_s[c]->get(ctx, i));
         }
         return;
       }
-      Acc acc{};
-      for (std::size_t c = 0; c < k; ++c) acc[c] = t_val.cols[c]->get(ctx, i);
-      std::uint64_t j = t_next->get(ctx, i);
-      while (j != kNoNext) {
-        if (t_known->get(ctx, j)) {
-          for (std::size_t c = 0; c < k; ++c) {
-            acc[c] += t_rank_s[c]->get(ctx, j);
-          }
-          break;
-        }
-        for (std::size_t c = 0; c < k; ++c) {
-          acc[c] += t_val.cols[c]->get(ctx, j);
-        }
-        j = t_next->get(ctx, j);
-      }
-      for (std::size_t c = 0; c < k; ++c) t_rank[c]->put(i, acc[c]);
+      ctx.count_read(walk_words[i] - 1);  // all but the known(i) read above
+      for (std::size_t c = 0; c < k; ++c) t_rank[c]->put(i, walk_rank[i][c]);
     });
     for (std::size_t c = 0; c < k; ++c) {
       for (std::uint64_t i = 0; i < n; ++i) {

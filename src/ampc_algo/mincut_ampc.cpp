@@ -37,7 +37,7 @@ AmpcMinCutReport ampc_approx_min_cut(const WGraph& g,
     AmpcSingletonOptions sopt;
     sopt.use_boruvka_msf = opt.use_boruvka_msf;
     // Graceful degradation under strict budgets: BudgetExceededError is
-    // deterministic (the barrier never retries it), so rerun the instance
+    // deterministic, so rerun the instance
     // with a coarser model — larger eps means bigger machines and fewer of
     // them. Once eps tops out at 1 the last resort is rerunning with
     // enforcement relaxed to counting (still recorded as a degradation), so
@@ -49,8 +49,6 @@ AmpcMinCutReport ampc_approx_min_cut(const WGraph& g,
     for (;;) {
       Config cfg = Config::for_problem(inst.n + inst.m(), eps);
       cfg.strict_budget = strict;
-      cfg.fault = opt.fault;
-      cfg.retry = opt.retry;
       RuntimeArena::Lease rt = arena->acquire(cfg);
       SingletonCutResult r;
       try {
@@ -76,9 +74,6 @@ AmpcMinCutReport ampc_approx_min_cut(const WGraph& g,
       report.peak_table_words =
           std::max(report.peak_table_words, m.peak_table_words);
       report.budget_violations += m.budget_violations.load();
-      report.faults_injected += m.faults_injected.load();
-      report.machine_failures += m.machine_failures.load();
-      report.rounds_retried += m.rounds_retried;
       return r;
     }
   };

@@ -37,12 +37,9 @@ struct AmpcMinCutOptions {
   // iterations; benches can share one across sweep points. Never affects
   // results or metrics (DESIGN.md "Table and runtime pooling").
   RuntimeArena* arena = nullptr;
-  // Robustness (DESIGN.md "Fault injection & round-level recovery"):
-  // forwarded into every tracker runtime's Config. With a plan whose retries
-  // succeed, results and all non-fault metrics are bit-identical to the
-  // fault-free run — recovery replays rounds against untouched committed
-  // state.
+  // Unread: kept only because cutbench/src/solve_rings.cpp still reads it.
   FaultPlan fault;
+  // Unread: kept only because cutbench/src/solve_rings.cpp still reads it.
   RetryPolicy retry;
   // Unread: kept only because cutbench/src/solve_rings.cpp still reads it.
   TransportKind transport = TransportKind::kLocal;
@@ -72,12 +69,7 @@ struct AmpcMinCutReport {
   std::uint64_t peak_table_words = 0;
   std::uint64_t budget_violations = 0;
 
-  // Robustness counters, summed over tracker runs. Excluded from the
-  // bit-identity contract (they describe the failures, not the computation);
-  // every other field above matches the fault-free run exactly.
-  std::uint64_t faults_injected = 0;
-  std::uint64_t machine_failures = 0;
-  std::uint64_t rounds_retried = 0;
+  // Strict-budget reruns, summed over tracker runs (options comment).
   std::uint64_t budget_degradations = 0;
 
   [[nodiscard]] std::uint64_t model_rounds() const {

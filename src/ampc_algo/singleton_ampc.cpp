@@ -93,9 +93,8 @@ class AmpcHldRmq {
   // (vertex, level) pair with a leader, plus ldr_time's boundary candidates).
   // Reads go through raw() with a local counter that is flushed to the
   // caller's machine context once per query — the counted word totals are
-  // exactly what per-access get(ctx, i) would have produced. Every caller
-  // has already read through get(ctx, i) on the same machine, so the read
-  // fault point fires as it would per word (DESIGN.md "Counted reads").
+  // exactly what per-access get(ctx, i) would have produced (DESIGN.md
+  // "Counted reads").
   TimeStep query(MachineContext* ctx, VertexId u, VertexId v) const {
     if (u == v) return 0;
     std::uint64_t reads = 0;
@@ -349,29 +348,53 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
     }
   });
 
+  // Deltas enter the int64 coverage sums of step 8 clamped at one more than
+  // the graph's finite weight total. A bag's coverage then reaches the clamp
+  // exactly when its boundary holds a kInfiniteWeight edge, and step 8 maps
+  // such a minimum back to kInfiniteWeight. No finite weight reaches the
+  // clamp, so finite inputs see the same deltas.
+  Weight finite_total = 0;
+  std::uint64_t infinite_edges = 0;
+  for (const WEdge& e : g.edges) {
+    if (e.w == kInfiniteWeight) {
+      ++infinite_edges;
+    } else {
+      finite_total = sat_add(finite_total, e.w);
+    }
+  }
+  constexpr auto kMaxDelta =
+      static_cast<Weight>(std::numeric_limits<std::int64_t>::max());
+  const Weight clamp = std::min(sat_add(finite_total, 1), kMaxDelta);
+  REPRO_CHECK_MSG(
+      static_cast<unsigned __int128>(clamp) * (infinite_edges + 1) <=
+          kMaxDelta,
+      "interval coverage would overflow int64");
+
   // 6. Edge time intervals (Lemmas 12/13) over (edge, level) pairs. Every
   // join time comes packed with its leader from step 4: no path-max query.
-  struct Interval {
+  // An interval [lo, hi] of weight w leaves the round as the coverage
+  // events step 7 groups: (leader, lo, +w), and (leader, hi + 1, -w) when
+  // hi + 1 <= ldr (a close beyond ldr cannot affect [0, ldr]). A machine
+  // appends them to the log of the round participant running it; no round
+  // is ever replayed (ampc/runtime.h), so every event lands exactly once.
+  // Which log holds an event depends on the thread schedule, but step 7's
+  // grouping output does not: same-(leader, t) deltas are summed.
+  struct Event {
     VertexId leader;
-    TimeStep lo, hi;
-    Weight w;
+    TimeStep t;
+    std::int64_t delta;
   };
+  struct alignas(64) EventLog {  // own cache line: participants append at once
+    std::vector<Event> events;
+    std::uint64_t intervals = 0;
+  };
+  std::vector<EventLog> logs(rt.participants());
   const std::uint64_t items = static_cast<std::uint64_t>(g.m()) * h;
-  // Each machine assigns its interval chunk to its own slot (once per
-  // attempt, so a replayed round overwrites its own output and recovery
-  // stays exact). Concatenating the slots in machine-id order below fixes
-  // the interval order independent of thread schedule. A machine collects
-  // its intervals in its thread's scratch (one per round participant, at
-  // most two intervals per item) and copies them to an exact-size slot:
-  // all slots live until the concatenation, and per-machine vector growth
-  // was a measured share of this round.
-  std::vector<std::vector<Interval>> slots(ceil_div(items, per));
-  std::vector<std::vector<Interval>> scratch(rt.participants());
-  rt.round("singleton.intervals", slots.size(), [&](MachineContext& ctx) {
+  rt.round("singleton.intervals", ceil_div(items, per),
+           [&](MachineContext& ctx) {
     const std::uint64_t lo_item = ctx.machine_id() * per;
     const std::uint64_t hi_item = std::min(items, lo_item + per);
-    std::vector<Interval>& local = scratch[ctx.slot()];
-    local.clear();
+    EventLog& log = logs[ctx.slot()];
     // Per edge ("owner") as in step 4: both endpoint labels are read once,
     // and the levels above both of them — where the model's item reads the
     // two labels and exits — are one bulk count.
@@ -381,7 +404,8 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
       const std::uint64_t owner_end = std::min(hi_item, owner + h);
       const VertexId x = g.edges[e].u;
       const VertexId y = g.edges[e].v;
-      const Weight w = g.edges[e].w;
+      const auto delta =
+          static_cast<std::int64_t>(std::min(g.edges[e].w, clamp));
       const std::uint64_t label_x = t_label->get(ctx, x);
       const std::uint64_t label_y = t_label->get(ctx, y);
       ctx.count_read(2 * (owner_end - item - 1));
@@ -405,18 +429,22 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
           const TimeStep a = std::min(jx, jy);
           const TimeStep b = std::min<TimeStep>(std::max(jx, jy) - 1, ldr);
           if (a <= b) {
-            local.push_back({leader, a, b, w});
+            log.events.push_back({leader, a, delta});
+            if (b < ldr) log.events.push_back({leader, b + 1, -delta});
+            ++log.intervals;
             ctx.count_write(2);
           }
         } else {
-          // Cases 2/3a: each alive side contributes until its leader falls.
+          // Cases 2/3a: each alive side contributes until its leader falls
+          // (hi = ldr, so no close event).
           for (const std::uint64_t lv : {lx, ly}) {
             if (lv == kNoNext) continue;  // dead side, or no leader
             const VertexId leader = leader_of(lv);
             const TimeStep j = join_of(lv);
             const auto ldr = static_cast<TimeStep>(t_ldr->get(ctx, leader));
             if (j <= ldr) {
-              local.push_back({leader, j, ldr, w});
+              log.events.push_back({leader, j, delta});
+              ++log.intervals;
               ctx.count_write(2);
             }
           }
@@ -424,75 +452,42 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
       }
       item = owner_end;
     }
-    slots[ctx.machine_id()].assign(local.begin(), local.end());
   });
-  std::size_t num_intervals = 0;
-  for (const std::vector<Interval>& slot : slots) num_intervals += slot.size();
-  if (intervals_out != nullptr) *intervals_out = num_intervals;
-  std::vector<Interval> intervals;
-  intervals.reserve(num_intervals);
-  for (std::vector<Interval>& slot : slots) {
-    intervals.insert(intervals.end(), slot.begin(), slot.end());
-    slot = {};  // release as consumed: the slots must not outlive this step
+  std::size_t num_events = 0;
+  std::uint64_t num_intervals = 0;
+  for (const EventLog& log : logs) {
+    num_events += log.events.size();
+    num_intervals += log.intervals;
   }
+  if (intervals_out != nullptr) *intervals_out = num_intervals;
 
   // 7. Group by leader and compress same-timestamp deltas (the S'' sequence
   // of Lemma 14) — a standard O(1/eps) AMPC sort, charged.
   rt.charge_rounds("singleton.group_sort[cited]", 2);
-  // Deltas enter the int64 coverage sums clamped at one more than the
-  // graph's finite weight total. A bag's coverage then reaches the clamp
-  // exactly when its boundary holds a kInfiniteWeight edge, and step 8 maps
-  // such a minimum back to kInfiniteWeight. No finite weight reaches the
-  // clamp, so finite inputs see the same deltas.
-  Weight finite_total = 0;
-  std::uint64_t infinite_edges = 0;
-  for (const WEdge& e : g.edges) {
-    if (e.w == kInfiniteWeight) {
-      ++infinite_edges;
-    } else {
-      finite_total = sat_add(finite_total, e.w);
-    }
-  }
-  constexpr auto kMaxDelta =
-      static_cast<Weight>(std::numeric_limits<std::int64_t>::max());
-  const Weight clamp = std::min(sat_add(finite_total, 1), kMaxDelta);
-  REPRO_CHECK_MSG(
-      static_cast<unsigned __int128>(clamp) * (infinite_edges + 1) <=
-          kMaxDelta,
-      "interval coverage would overflow int64");
-  const auto delta_of = [clamp](Weight w) {
-    return static_cast<std::int64_t>(std::min(w, clamp));
-  };
-  struct Event {
-    VertexId leader;
-    TimeStep t;
-    std::int64_t delta;
-  };
+  // Host-side it is two counting passes, by t and then stably by leader, so
+  // the events end up ordered by (leader, t). The first pass releases each
+  // log as it drains it, and the second releases its input: no more than
+  // two copies of the events are ever alive. Tie order within a
+  // (leader, t) pair is irrelevant: the compression below sums those
+  // deltas.
   std::vector<Event> events;
-  events.reserve(2 * intervals.size());
-  for (const auto& iv : intervals) {
-    const auto ldr = static_cast<TimeStep>(t_ldr->raw(iv.leader));
-    events.push_back({iv.leader, iv.lo, delta_of(iv.w)});
-    if (iv.hi + 1 <= ldr) {  // closes beyond ldr cannot affect [0, ldr]
-      events.push_back({iv.leader, static_cast<TimeStep>(iv.hi + 1),
-                        -delta_of(iv.w)});
-    }
-  }
-  // Group by (leader, t) with two stable counting passes — the model cost of
-  // this sort is the charged AMPC group sort above; host-side it is linear.
-  // Tie order within a (leader, t) pair is irrelevant: the compression below
-  // sums those deltas.
   {
-    std::vector<Event> tmp(events.size());
+    std::vector<Event> by_time(num_events);
     std::vector<std::uint32_t> count(
         std::max<std::size_t>(t_full + 2, n) + 1, 0);
-    for (const Event& e : events) ++count[e.t + 1];
+    for (const EventLog& log : logs) {
+      for (const Event& e : log.events) ++count[e.t + 1];
+    }
     for (std::size_t t = 0; t + 2 < count.size(); ++t) count[t + 1] += count[t];
-    for (const Event& e : events) tmp[count[e.t]++] = e;
+    for (EventLog& log : logs) {
+      for (const Event& e : log.events) by_time[count[e.t]++] = e;
+      log.events = {};
+    }
+    events.resize(num_events);
     std::fill(count.begin(), count.end(), 0);
-    for (const Event& e : tmp) ++count[e.leader + 1];
+    for (const Event& e : by_time) ++count[e.leader + 1];
     for (VertexId v = 0; v < n; ++v) count[v + 1] += count[v];
-    for (const Event& e : tmp) events[count[e.leader]++] = e;
+    for (const Event& e : by_time) events[count[e.leader]++] = e;
   }
   std::vector<std::int64_t> deltas;
   std::vector<TimeStep> times_at;
@@ -516,6 +511,7 @@ SingletonCutResult ampc_min_singleton_cut(Runtime& rt, const WGraph& g,
     i = j;
   }
   offsets.push_back(deltas.size());
+  events = {};  // compressed into deltas; step 8 must not hold both
 
   // 8. Minimum coverage per leader via the segmented Theorem 5 machinery.
   const auto mins = segmented_min_prefix_sum(rt, deltas, offsets);

@@ -37,9 +37,9 @@ struct GomoryHuTree {
 GomoryHuTree build_gomory_hu(const WGraph& g);
 
 // Hook variant: `step_hook(i)` runs before Gusfield step i (the max-flow for
-// vertex i, i in 1..n-1). The serving tier's rebuild path injects
-// deterministic faults through it — a throwing hook aborts the build with
-// nothing published. An empty function is equivalent to the overload above.
+// vertex i, i in 1..n-1); cutbench's serve-mixed times the steps through it.
+// A throwing hook aborts the build. An empty function is equivalent to the
+// overload above.
 using GomoryHuStepHook = std::function<void(VertexId)>;
 GomoryHuTree build_gomory_hu(const WGraph& g, const GomoryHuStepHook& step_hook);
 

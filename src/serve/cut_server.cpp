@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "support/check.h"
-#include "support/errors.h"
-#include "support/rng.h"
 
 namespace ampccut::serve {
 
@@ -71,13 +69,6 @@ void CutServer::update_graph(WGraph g) {
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void CutServer::set_fault(const ampc::FaultPlan& fault,
-                          const ampc::RetryPolicy& retry) {
-  std::lock_guard<std::mutex> lock(rebuild_mu_);
-  opt_.fault = fault;
-  opt_.retry = retry;
-}
-
 SnapshotPtr CutServer::build_snapshot(const WGraph& g, std::uint64_t epoch) {
   SnapshotStats stats;
   stats.n = g.n;
@@ -106,49 +97,12 @@ SnapshotPtr CutServer::build_snapshot(const WGraph& g, std::uint64_t epoch) {
   }
   stats.flow_edges = flow_graph->m();
 
-  const ampc::FaultInjector injector(opt_.fault);
-  const bool inject = injector.plan().enabled();
-  const std::uint32_t max_attempts = std::max(1U, opt_.retry.max_attempts);
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      GomoryHuTree tree = build_gomory_hu(
-          *flow_graph, [&](VertexId step) {
-            if (!inject) return;
-            using ampc::FaultKind;
-            if (injector.fires(FaultKind::kSlowMachine, epoch, step, attempt)) {
-              ampc::fault_delay_spin(
-                  splitmix64(opt_.fault.seed ^ (epoch << 16U) ^ step),
-                  injector.plan().delay_spin);
-            }
-            // The rebuild path has no read/staging distinction: any failing
-            // kind kills the step, and recovery discards the partial tree.
-            if (injector.fires(FaultKind::kMachineCrash, epoch, step, attempt) ||
-                injector.fires(FaultKind::kTableReadFail, epoch, step,
-                               attempt) ||
-                injector.fires(FaultKind::kStagedWriteLoss, epoch, step,
-                               attempt)) {
-              throw MachineFailedError(epoch, step,
-                                       "injected fault on serve rebuild");
-            }
-          });
-      stats.build_attempts = attempt + 1;
-      snapshots_published_.fetch_add(1, std::memory_order_relaxed);
-      // The snapshot keeps the ORIGINAL graph (scenario code lists crossing
-      // edges of it); the merged copy only fed the flows.
-      return std::make_shared<const Snapshot>(g, std::move(tree), epoch, stats,
-                                              pool_);
-    } catch (const MachineFailedError& e) {
-      build_retries_.fetch_add(1, std::memory_order_relaxed);
-      if (attempt + 1 >= max_attempts) {
-        throw RetriesExhaustedError("serve-rebuild", epoch, max_attempts,
-                                    e.what());
-      }
-      if (opt_.retry.backoff_spin > 0) {
-        ampc::fault_delay_spin(splitmix64(opt_.fault.seed ^ epoch ^ attempt),
-                               opt_.retry.backoff_spin);
-      }
-    }
-  }
+  GomoryHuTree tree = build_gomory_hu(*flow_graph);
+  snapshots_published_.fetch_add(1, std::memory_order_relaxed);
+  // The snapshot keeps the ORIGINAL graph (scenario code lists crossing
+  // edges of it); the merged copy only fed the flows.
+  return std::make_shared<const Snapshot>(g, std::move(tree), epoch, stats,
+                                          pool_);
 }
 
 ServeStats CutServer::stats() const {
@@ -157,7 +111,6 @@ ServeStats CutServer::stats() const {
   s.batch_queries = batch_queries_.load(std::memory_order_relaxed);
   s.rebuilds = rebuilds_.load(std::memory_order_relaxed);
   s.snapshots_published = snapshots_published_.load(std::memory_order_relaxed);
-  s.build_retries = build_retries_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -22,12 +22,10 @@
 // equivalent one on the same vertex set, so it is the only rule the serving
 // tier lets through, however the caller configures KernelOptions.
 //
-// Rebuild robustness rides the runtime's fault machinery (ampc/fault.h):
-// each Gusfield step consults the FaultInjector at (round = epoch,
-// machine = step, attempt); an injected failure discards the partial tree
-// and replays the whole build under RetryPolicy, and exhaustion surfaces as
-// RetriesExhaustedError with the previous snapshot still serving — degraded
-// freshness, never a wrong answer.
+// A rebuild runs once, with no retry: update_graph builds the next
+// snapshot completely before it publishes anything, so a build that throws
+// leaves the previous snapshot serving — degraded freshness, never a wrong
+// answer.
 #pragma once
 
 #include <atomic>
@@ -36,7 +34,6 @@
 #include <mutex>
 #include <vector>
 
-#include "ampc/fault.h"
 #include "ampc/runtime.h"
 #include "kernel/kernel.h"
 #include "serve/snapshot.h"
@@ -58,9 +55,6 @@ struct CutServerOptions {
   // Pool for batch fan-out and build-time sorts (nullptr = the shared pool).
   // Never affects answers, only wall time.
   ThreadPool* pool = nullptr;
-  // Rebuild-path fault injection + recovery budget (header comment).
-  ampc::FaultPlan fault;
-  ampc::RetryPolicy retry;
 };
 
 // Monotonic serving counters; queries/batch_queries count answers served.
@@ -74,14 +68,12 @@ struct ServeStats {
   std::uint64_t cache_evictions = 0;  // inert, always 0
   std::uint64_t rebuilds = 0;             // update_graph() successes
   std::uint64_t snapshots_published = 0;  // including the constructor's
-  std::uint64_t build_retries = 0;        // fault-discarded build attempts
 };
 
 class CutServer {
  public:
   // Builds and publishes epoch 1. Requires g.n >= 1 (the graph may be
-  // disconnected — cross-component answers are 0). Throws
-  // RetriesExhaustedError if the configured fault plan defeats the build.
+  // disconnected — cross-component answers are 0).
   explicit CutServer(WGraph g, CutServerOptions opt = {});
 
   CutServer(const CutServer&) = delete;
@@ -109,13 +101,9 @@ class CutServer {
                                      const std::vector<QueryPair>& pairs);
 
   // Rebuilds the tree for `g` on the calling thread and atomically swaps the
-  // next epoch in. Readers keep answering on the old snapshot throughout; on
-  // RetriesExhaustedError the old snapshot simply remains current.
+  // next epoch in. Readers keep answering on the old snapshot throughout; if
+  // the build throws, the old snapshot simply remains current.
   void update_graph(WGraph g);
-
-  // Replaces the rebuild-path fault plan / retry budget for subsequent
-  // builds (chaos tests flip injection on and off around update_graph).
-  void set_fault(const ampc::FaultPlan& fault, const ampc::RetryPolicy& retry);
 
   [[nodiscard]] ServeStats stats() const;
 
@@ -124,8 +112,7 @@ class CutServer {
   [[nodiscard]] ampc::RuntimeArena& arena() { return arena_; }
 
  private:
-  // One full build attempt cycle under the retry policy; returns the
-  // ready-to-publish snapshot for `epoch`.
+  // One full build; returns the ready-to-publish snapshot for `epoch`.
   SnapshotPtr build_snapshot(const WGraph& g, std::uint64_t epoch);
 
   CutServerOptions opt_;
@@ -133,7 +120,7 @@ class CutServer {
   ampc::RuntimeArena arena_;
 
   SnapshotCell current_;
-  std::mutex rebuild_mu_;  // serializes update_graph + set_fault
+  std::mutex rebuild_mu_;  // serializes update_graph
   WGraph graph_;           // latest accepted graph, guarded by rebuild_mu_
   std::uint64_t epoch_ = 0;  // last published epoch, guarded by rebuild_mu_
 
@@ -141,7 +128,6 @@ class CutServer {
   std::atomic<std::uint64_t> batch_queries_{0};
   std::atomic<std::uint64_t> rebuilds_{0};
   std::atomic<std::uint64_t> snapshots_published_{0};
-  std::atomic<std::uint64_t> build_retries_{0};
 };
 
 }  // namespace ampccut::serve

@@ -34,7 +34,6 @@ struct SnapshotStats {
   std::uint64_t merged_parallel = 0;    // kernel front-end parallel merges
   bool kernelized = false;              // the merge pass actually ran
   std::uint32_t components = 1;
-  std::uint32_t build_attempts = 1;     // 1 == fault-free build
 };
 
 class Snapshot {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "ampc_algo/low_depth_ampc.h"
 #include "ampc_algo/singleton_ampc.h"
 #include "graph/generators.h"
 #include "support/rng.h"
+#include "support/threadpool.h"
 #include "tree/low_depth.h"
 
 namespace ampccut::ampc {
@@ -207,6 +212,68 @@ TEST(AmpcSingleton, RoundsAreSizeIndependent) {
     large_rounds = rt.metrics().model_rounds();
   }
   EXPECT_LE(large_rounds, small_rounds + 12);
+}
+
+// Step 6 streams its interval events into one log per round participant,
+// so how the events split across logs follows the thread schedule. The
+// grouping must not: at pool widths 1..4 the answer, every model count and
+// the interval count are equal. n = 512 with m = 4n gives the intervals
+// round well over 16 machines, so parallel_for really fans out.
+TEST(AmpcSingleton, IntervalEventsIdenticalAcrossPoolWidths) {
+  WGraph g = gen_random_connected(512, 2048, 5);
+  randomize_weights(g, 17, 9);
+  const ContractionOrder o = make_contraction_order(g, 5);
+  const Config cfg = Config::for_problem(g.n + g.m(), 0.5);
+  ASSERT_GT(cfg.num_machines(g.m()), 16u);  // h >= 1 levels per edge
+  struct Run {
+    SingletonCutResult r;
+    std::uint64_t intervals = 0;
+    std::uint64_t rounds, charged_rounds, dht_reads, dht_writes,
+        max_machine_traffic, peak_table_words, budget_violations;
+    std::map<std::string, std::uint64_t, std::less<>> rounds_by_label,
+        charged_by_label;
+  };
+  // Two runs per width: which events share a log varies run to run.
+  std::vector<Run> runs;
+  std::vector<std::size_t> widths;
+  for (const std::size_t width : {1u, 1u, 2u, 2u, 3u, 3u, 4u, 4u}) {
+    ThreadPool pool(width);
+    Runtime rt(cfg, &pool);
+    widths.push_back(width);
+    Run run;
+    run.r = ampc_min_singleton_cut(rt, g, o, {}, &run.intervals);
+    const Metrics& m = rt.metrics();
+    run.rounds = m.rounds;
+    run.charged_rounds = m.charged_rounds;
+    run.dht_reads = m.dht_reads;
+    run.dht_writes = m.dht_writes;
+    run.max_machine_traffic = m.max_machine_traffic;
+    run.peak_table_words = m.peak_table_words;
+    run.budget_violations = m.budget_violations.load();
+    run.rounds_by_label = m.rounds_by_label;
+    run.charged_by_label = m.charged_by_label;
+    runs.push_back(std::move(run));
+  }
+  ASSERT_GT(runs[0].intervals, 0u);
+  for (std::size_t w = 1; w < runs.size(); ++w) {
+    SCOPED_TRACE(::testing::Message() << "run " << w << ", pool width "
+                                      << widths[w]);
+    const Run& a = runs[0];
+    const Run& b = runs[w];
+    EXPECT_EQ(b.r.weight, a.r.weight);
+    EXPECT_EQ(b.r.rep, a.r.rep);
+    EXPECT_EQ(b.r.time, a.r.time);
+    EXPECT_EQ(b.intervals, a.intervals);
+    EXPECT_EQ(b.rounds, a.rounds);
+    EXPECT_EQ(b.charged_rounds, a.charged_rounds);
+    EXPECT_EQ(b.dht_reads, a.dht_reads);
+    EXPECT_EQ(b.dht_writes, a.dht_writes);
+    EXPECT_EQ(b.max_machine_traffic, a.max_machine_traffic);
+    EXPECT_EQ(b.peak_table_words, a.peak_table_words);
+    EXPECT_EQ(b.budget_violations, a.budget_violations);
+    EXPECT_EQ(b.rounds_by_label, a.rounds_by_label);
+    EXPECT_EQ(b.charged_by_label, a.charged_by_label);
+  }
 }
 
 }  // namespace

@@ -83,6 +83,8 @@ struct SingletonPin {
   std::uint64_t dht_reads;
   std::uint64_t max_machine_traffic;
   std::uint64_t budget_violations;
+  // Edge time intervals of Lemmas 12/13 (intervals_out), not their events.
+  std::uint64_t intervals;
 };
 
 // Four dense clusters joined in a ring by light bundles, the shape of the
@@ -139,11 +141,11 @@ TEST(Determinism, AmpcSingletonCountsPinned) {
   // dht_writes: a heavy-child proposal is one word (a dense put), not two.
   const std::vector<std::pair<WGraph, SingletonPin>> cases = {
       {pinned_ring(),
-       {10, 5, 56, 19, 10, 2784, 2118, labels(2), 23110, 2224, 50}},
+       {10, 5, 56, 19, 10, 2784, 2118, labels(2), 23110, 2224, 50, 499}},
       {random,
-       {11, 23, 0, 19, 10, 3876, 2101, labels(2), 29534, 1836, 73}},
+       {11, 23, 0, 19, 10, 3876, 2101, labels(2), 29534, 1836, 73, 1070}},
       {gen_grid(8, 9),
-       {2, 0, 0, 25, 12, 3155, 2614, labels(4), 29452, 1856, 70}},
+       {2, 0, 0, 25, 12, 3155, 2614, labels(4), 29452, 1856, 70, 446}},
   };
   for (std::size_t c = 0; c < cases.size(); ++c) {
     const WGraph& g = cases[c].first;
@@ -152,7 +154,9 @@ TEST(Determinism, AmpcSingletonCountsPinned) {
     for (const std::size_t width : {1u, 4u}) {
       ThreadPool pool(width);
       ampc::Runtime rt(ampc::Config::for_problem(g.n + g.m(), 0.5), &pool);
-      const SingletonCutResult r = ampc::ampc_min_singleton_cut(rt, g, o);
+      std::uint64_t intervals = 0;
+      const SingletonCutResult r =
+          ampc::ampc_min_singleton_cut(rt, g, o, {}, &intervals);
       const ampc::Metrics& m = rt.metrics();
       SCOPED_TRACE(::testing::Message() << "case " << c << " width "
                                         << width);
@@ -167,6 +171,7 @@ TEST(Determinism, AmpcSingletonCountsPinned) {
       EXPECT_EQ(m.dht_reads, pin.dht_reads);
       EXPECT_EQ(m.max_machine_traffic, pin.max_machine_traffic);
       EXPECT_EQ(m.budget_violations.load(), pin.budget_violations);
+      EXPECT_EQ(intervals, pin.intervals);
     }
   }
 }
@@ -215,6 +220,7 @@ TEST(Determinism, ListRankCountsPinned) {
     std::uint64_t dht_writes;
     std::uint64_t max_machine_traffic;
     std::map<std::string, std::uint64_t, std::less<>> rounds_by_label;
+    std::uint64_t budget_violations;
   };
   const auto labels = [](std::uint64_t contractions, bool direct_walk,
                          std::uint64_t expansions) {
@@ -232,14 +238,14 @@ TEST(Determinism, ListRankCountsPinned) {
   };
   const std::vector<Input> inputs = {
       {1500, 1500, 1,
-       {0xda47d882043e09e4ULL, 49195, 2340, 2037, labels(2, false, 2)},
-       {0x484e42daaf2bb44cULL, 65040, 4260, 2776, labels(2, false, 2)}},
+       {0xda47d882043e09e4ULL, 49195, 2340, 2037, labels(2, false, 2), 80},
+       {0x484e42daaf2bb44cULL, 65040, 4260, 2776, labels(2, false, 2), 80}},
       {1500, 4, 2,
-       {0x62d8d15f37aff1a4ULL, 19509, 8585, 387, labels(3, true, 2)},
-       {0x27c0b6ce639d0908ULL, 25679, 13324, 580, labels(3, true, 2)}},
+       {0x62d8d15f37aff1a4ULL, 19509, 8585, 387, labels(3, true, 2), 134},
+       {0x27c0b6ce639d0908ULL, 25679, 13324, 580, labels(3, true, 2), 134}},
       {20000, 20000, 3,
-       {0xa82e573af3c50a00ULL, 639784, 31504, 2208, labels(3, false, 3)},
-       {0x0e5ff3b97a75719eULL, 845450, 57256, 3008, labels(3, false, 3)}},
+       {0xa82e573af3c50a00ULL, 639784, 31504, 2208, labels(3, false, 3), 1072},
+       {0x0e5ff3b97a75719eULL, 845450, 57256, 3008, labels(3, false, 3), 1073}},
   };
   for (const Input& in : inputs) {
     const std::vector<std::uint64_t> next =
@@ -268,6 +274,7 @@ TEST(Determinism, ListRankCountsPinned) {
         EXPECT_EQ(m.dht_writes, pin.dht_writes);
         EXPECT_EQ(m.max_machine_traffic, pin.max_machine_traffic);
         EXPECT_EQ(m.rounds_by_label, pin.rounds_by_label);
+        EXPECT_EQ(m.budget_violations.load(), pin.budget_violations);
       }
     }
   }

@@ -360,35 +360,6 @@ TEST(ReproLintTree, KernelLayerIsInScopeAndClean) {
   EXPECT_TRUE(r.allowed.empty()) << "kernel layer should need no allowlist";
 }
 
-// The fault-injection/recovery layer and the error taxonomy are pinned
-// in-walk and clean: the retry loop replays round bodies, so any hidden
-// nondeterminism there (raw sorts, unordered iteration, non-rng randomness)
-// would break the recovery bit-identity contract mechanically.
-TEST(ReproLintTree, FaultLayerIsInScopeAndClean) {
-  Report r;
-  std::string err;
-  ASSERT_TRUE(scan_tree(AMPC_CUT_SOURCE_DIR, {"src/ampc"}, r, &err)) << err;
-  EXPECT_GE(r.files_scanned, 4);  // fault.{h,cpp}, runtime.{h,cpp}
-  std::string diag;
-  for (const Finding& f : r.findings) {
-    diag += f.file + ':' + std::to_string(f.line) + ' ' + f.message + '\n';
-  }
-  EXPECT_TRUE(r.findings.empty()) << diag;
-  EXPECT_TRUE(r.allowed.empty()) << "fault layer should need no allowlist";
-
-  // The taxonomy header rides the same gate (error construction happens on
-  // the recovery path, so it must be as deterministic as the runtime).
-  std::ifstream in(std::string(AMPC_CUT_SOURCE_DIR) + "/src/support/errors.h",
-                   std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  Report er;
-  scan_file("src/support/errors.h", buf.str(), er);
-  EXPECT_TRUE(er.findings.empty());
-  EXPECT_TRUE(er.allowed.empty());
-}
-
 // The serving tier answers external queries off shared snapshots — its
 // snapshot indexing and batch fan-out must be free of hidden
 // nondeterminism (the batch-vs-sequential bit-identity contract in

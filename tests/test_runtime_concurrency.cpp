@@ -13,83 +13,19 @@
 #include <vector>
 
 #include "ampc/runtime.h"
+#include "merge_workload.h"
 
 namespace ampccut::ampc {
 namespace {
 
-// Everything observable about one workload run, for cross-pool comparison.
-struct Outcome {
-  std::vector<std::uint64_t> min_t, max_t, sum_t, ovr_t, dense;
-  std::uint64_t rounds = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t max_traffic = 0;
-  std::uint64_t peak_words = 0;
-  std::uint64_t violations = 0;
+using merge_workload::Outcome;
 
-  bool operator==(const Outcome&) const = default;
-};
-
-std::vector<std::uint64_t> contents(const DenseTable<std::uint64_t>& t) {
-  std::vector<std::uint64_t> out;
-  for (std::size_t i = 0; i < t.size(); ++i) out.push_back(t.raw(i));
-  return out;
-}
-
-// Two rounds over 256 machines — sixteen of the pool's 16-machine chunks,
-// enough to spread over every thread — hammering shared and private keys
-// through all four merge policies plus a dense kSum table; also a
-// driver-side put (overflow log) between the rounds.
+// The merge-policy workload (merge_workload.h) over 256 machines — sixteen
+// of the pool's 16-machine chunks, enough to spread over every thread.
 Outcome run_workload(ThreadPool& pool) {
-  Config cfg = Config::for_problem(1 << 12, 0.5);
-  Runtime rt(cfg, &pool);
-  DenseTable<std::uint64_t> tmin(rt, "min", 8, ~0ull, Merge::kMin);
-  DenseTable<std::uint64_t> tmax(rt, "max", 8, 0, Merge::kMax);
-  DenseTable<std::uint64_t> tsum(rt, "sum", 8, 0, Merge::kSum);
-  DenseTable<std::uint64_t> tovr(rt, "ovr", 7778, 0, Merge::kOverwrite);
-  constexpr std::size_t kMachines = 256;
-  DenseTable<std::uint64_t> dense(rt, "dense", 8 + kMachines, 5, Merge::kSum);
-
-  rt.round("phase1", kMachines, [&](MachineContext& ctx) {
-    const auto m = static_cast<std::uint64_t>(ctx.machine_id());
-    for (std::uint64_t k = 0; k < 4; ++k) {
-      tmin.put(k, 100 + ((m * 7 + k) % 13));
-      tmax.put(k, 100 + ((m * 5 + k) % 11));
-      tsum.put(k, m + k);
-      tovr.put(k, m);  // same-key overwrite race across all machines
-    }
-    tovr.put(1000 + m, m);  // private key, no race
-    dense.put(m % 8, 1);
-    dense.put(8 + m, m);
-  });
-
-  // Driver-side write outside any machine: staged in the overflow log,
-  // visible after the next barrier.
-  tovr.put(7777, 42);
-
-  rt.round("phase2", kMachines, [&](MachineContext& ctx) {
-    const auto m = static_cast<std::uint64_t>(ctx.machine_id());
-    // Adaptive reads of phase-1 commits, then more merging writes.
-    const auto v = tsum.get(0);
-    tsum.put(4, v % 97);
-    tmin.put(2, 50 + m);
-    dense.put(m % 4, 2);
-  });
-
-  Outcome out;
-  out.min_t = contents(tmin);
-  out.max_t = contents(tmax);
-  out.sum_t = contents(tsum);
-  out.ovr_t = contents(tovr);
-  out.dense = contents(dense);
-  const Metrics& m = rt.metrics();
-  out.rounds = m.rounds;
-  out.reads = m.dht_reads;
-  out.writes = m.dht_writes;
-  out.max_traffic = m.max_machine_traffic;
-  out.peak_words = m.peak_table_words;
-  out.violations = m.budget_violations.load();
-  return out;
+  Runtime rt(Config::for_problem(1 << 12, 0.5), &pool);
+  return merge_workload::run_merge_workload(rt, 256,
+                                            merge_workload::make_fresh_tables);
 }
 
 TEST(RuntimeConcurrency, OneThreadAndManyThreadsAgreeExactly) {

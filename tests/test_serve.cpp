@@ -5,9 +5,7 @@
 // six-family generator zoo with weighted/multigraph/disconnected variants,
 // with the kernel front-end on or off, through the single-shot path and the
 // batch path at any pool width, for batches of one block and of many.
-// Rebuild faults may only cost freshness (RetriesExhaustedError with the old
-// epoch still serving), never correctness. Suite name "Serve" rides the
-// tsan/asan CI filters.
+// Suite name "Serve" rides the tsan/asan CI filters.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -391,72 +389,6 @@ TEST(Serve, ScenarioReportsAreConsistentWithDirectSolvers) {
   std::uint32_t covered = 0;
   for (const auto sz : kc.part_sizes) covered += sz;
   EXPECT_EQ(covered, g.n);
-}
-
-// --- Faulted rebuilds -------------------------------------------------------
-
-TEST(Serve, ScheduledFaultRecoveryIsBitIdentical) {
-  const WGraph g = gen_random_connected(20, 45, 31);
-  CutServer clean(g);
-
-  CutServerOptions opt;
-  // Scheduled faults fire on attempt 0 only (ampc/fault.h), so recovery is
-  // guaranteed within max_attempts = 3; round = epoch, machine = step.
-  opt.fault.scheduled.push_back({1, 3, ampc::FaultKind::kMachineCrash});
-  opt.fault.scheduled.push_back({1, 7, ampc::FaultKind::kStagedWriteLoss});
-  opt.retry.max_attempts = 3;
-  CutServer faulted(g, opt);
-
-  EXPECT_EQ(faulted.stats().build_retries, 1U);  // one discarded attempt
-  EXPECT_EQ(faulted.snapshot()->stats().build_attempts, 2U);
-  EXPECT_EQ(clean.snapshot()->stats().build_attempts, 1U);
-  // The replayed build serves answers bit-identical to the fault-free one.
-  for (const auto& p : zoo_pairs(g, 13)) {
-    EXPECT_EQ(faulted.query(p.s, p.t), clean.query(p.s, p.t));
-  }
-  EXPECT_EQ(faulted.snapshot()->tree().parent, clean.snapshot()->tree().parent);
-  EXPECT_EQ(faulted.snapshot()->tree().parent_cut_weight,
-            clean.snapshot()->tree().parent_cut_weight);
-}
-
-TEST(Serve, ConstructionUnderCertainFaultsThrowsRetriesExhausted) {
-  const WGraph g = gen_path(6);
-  CutServerOptions opt;
-  opt.fault.seed = 11;
-  opt.fault.crash_rate = 1.0;  // every attempt dies at the first step
-  opt.retry.max_attempts = 2;
-  EXPECT_THROW(CutServer server(g, opt), RetriesExhaustedError);
-}
-
-TEST(Serve, ExhaustedUpdateKeepsOldEpochServingThenRecovers) {
-  const WGraph g1 = gen_barbell(6);
-  const WGraph g2 = gen_grid(3, 4);
-  CutServer server(g1);
-  const Weight before = server.query(0, 5);
-
-  ampc::FaultPlan certain;
-  certain.seed = 4;
-  certain.crash_rate = 1.0;
-  ampc::RetryPolicy tight;
-  tight.max_attempts = 2;
-  server.set_fault(certain, tight);
-  try {
-    server.update_graph(g2);
-    FAIL() << "expected RetriesExhaustedError";
-  } catch (const RetriesExhaustedError& e) {
-    EXPECT_EQ(e.round(), 2U);  // the epoch that failed to publish
-    EXPECT_EQ(e.attempts(), 2U);
-  }
-  // Degraded freshness, never a wrong answer: epoch 1 still serves g1.
-  EXPECT_EQ(server.snapshot()->epoch(), 1U);
-  EXPECT_EQ(server.query(0, 5), before);
-  EXPECT_EQ(server.stats().rebuilds, 0U);
-  EXPECT_EQ(server.stats().build_retries, 2U);
-
-  server.set_fault({}, {});  // chaos off; the next update must land
-  server.update_graph(g2);
-  EXPECT_EQ(server.snapshot()->epoch(), 2U);
-  EXPECT_EQ(server.query(0, 5), st_min_cut(g2, 0, 5));
 }
 
 }  // namespace

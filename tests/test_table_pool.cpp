@@ -9,6 +9,7 @@
 #include "ampc/runtime.h"
 #include "ampc_algo/singleton_ampc.h"
 #include "graph/generators.h"
+#include "merge_workload.h"
 #include "mincut/contraction.h"
 
 namespace ampccut::ampc {
@@ -60,106 +61,32 @@ TEST(TablePool, PoolIsKeyedByConcreteType) {
   EXPECT_EQ(rt.pool_stats().reuses, 1u);
 }
 
-// Everything observable about one workload run — committed contents of all
-// four merge policies plus every metric the benches quote.
-struct Outcome {
-  std::vector<std::uint64_t> min_t, max_t, sum_t, ovr_t, dense;
-  std::uint64_t rounds = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t max_traffic = 0;
-  std::uint64_t peak_words = 0;
-  std::uint64_t violations = 0;
+using merge_workload::make_fresh_tables;
+using merge_workload::make_leased_tables;
+using merge_workload::Outcome;
+using merge_workload::run_merge_workload;
 
-  bool operator==(const Outcome&) const = default;
-};
-
-// The merge-policy workload from test_runtime_concurrency, parameterized
-// over how the tables come to exist (direct construction vs leases): two
-// rounds over 16 machines, shared and private keys, all four policies, a
-// dense kSum table, adaptive reads, and a driver-side overflow write.
-template <class MakeTables>
-Outcome run_workload(Runtime& rt, MakeTables&& make) {
-  auto tables = make(rt);
-  auto& [tmin, tmax, tsum, tovr, dense] = tables;
-
-  constexpr std::size_t kMachines = 16;
-  rt.round("phase1", kMachines, [&](MachineContext& ctx) {
-    const auto m = static_cast<std::uint64_t>(ctx.machine_id());
-    for (std::uint64_t k = 0; k < 4; ++k) {
-      tmin->put(k, 100 + ((m * 7 + k) % 13));
-      tmax->put(k, 100 + ((m * 5 + k) % 11));
-      tsum->put(k, m + k);
-      tovr->put(k, m);
-    }
-    tovr->put(1000 + m, m);
-    dense->put(m % 8, 1);
-    dense->put(8 + m, m);
-  });
-  tovr->put(7777, 42);  // driver-side overflow write
-  rt.round("phase2", kMachines, [&](MachineContext& ctx) {
-    const auto m = static_cast<std::uint64_t>(ctx.machine_id());
-    const auto v = tsum->get(0);
-    tsum->put(4, v % 97);
-    tmin->put(2, 50 + m);
-    dense->put(m % 4, 2);
-  });
-
-  const auto contents = [](const auto& t) {
-    std::vector<std::uint64_t> out;
-    for (std::size_t i = 0; i < t->size(); ++i) out.push_back(t->raw(i));
-    return out;
-  };
-  Outcome out;
-  out.min_t = contents(tmin);
-  out.max_t = contents(tmax);
-  out.sum_t = contents(tsum);
-  out.ovr_t = contents(tovr);
-  out.dense = contents(dense);
-  const Metrics& m = rt.metrics();
-  out.rounds = m.rounds;
-  out.reads = m.dht_reads;
-  out.writes = m.dht_writes;
-  out.max_traffic = m.max_machine_traffic;
-  out.peak_words = m.peak_table_words;
-  out.violations = m.budget_violations.load();
-  return out;
-}
-
-// Direct construction: the pre-pool way tables came to exist. unique_ptr so
-// the tuple is movable and -> works like the lease.
-auto make_fresh(Runtime& rt) {
-  using T = DenseTable<std::uint64_t>;
-  return std::tuple(std::make_unique<T>(rt, "min", 8, ~0ull, Merge::kMin),
-                    std::make_unique<T>(rt, "max", 8, 0, Merge::kMax),
-                    std::make_unique<T>(rt, "sum", 8, 0, Merge::kSum),
-                    std::make_unique<T>(rt, "ovr", 7778, 0, Merge::kOverwrite),
-                    std::make_unique<T>(rt, "dense", 64, 5, Merge::kSum));
-}
-
-auto make_leased(Runtime& rt) {
-  return std::tuple(
-      rt.lease_dense<std::uint64_t>("min", 8, ~0ull, Merge::kMin),
-      rt.lease_dense<std::uint64_t>("max", 8, 0, Merge::kMax),
-      rt.lease_dense<std::uint64_t>("sum", 8, 0, Merge::kSum),
-      rt.lease_dense<std::uint64_t>("ovr", 7778, 0, Merge::kOverwrite),
-      rt.lease_dense<std::uint64_t>("dense", 64, 5, Merge::kSum));
-}
+// The merge-policy workload (merge_workload.h) over 16 machines, with its
+// tables constructed directly (the pre-pool way) or leased.
+constexpr std::size_t kWorkloadMachines = 16;
 
 TEST(TablePool, PooledAndFreshRunsBitIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
     Runtime fresh_rt(Config::for_problem(1 << 12, 0.5), &pool);
-    const Outcome fresh = run_workload(fresh_rt, make_fresh);
+    const Outcome fresh = run_merge_workload(fresh_rt, kWorkloadMachines,
+                                             make_fresh_tables);
 
     Runtime lease_rt(Config::for_problem(1 << 12, 0.5), &pool);
-    const Outcome first = run_workload(lease_rt, make_leased);
+    const Outcome first = run_merge_workload(lease_rt, kWorkloadMachines,
+                                             make_leased_tables);
     EXPECT_EQ(fresh, first) << "threads=" << threads;
 
     // Second run on the same runtime: every lease is now a pool REUSE, and
     // nothing — contents, metrics, traffic — may differ.
     lease_rt.reset_for_subproblem(Config::for_problem(1 << 12, 0.5));
-    const Outcome reused = run_workload(lease_rt, make_leased);
+    const Outcome reused = run_merge_workload(lease_rt, kWorkloadMachines,
+                                             make_leased_tables);
     EXPECT_GE(lease_rt.pool_stats().reuses, 5u);
     EXPECT_EQ(fresh, reused) << "threads=" << threads;
   }
